@@ -17,9 +17,10 @@ class Table1ParallelBench extends SparkSpec {
     println(render(
       "Table 1 — parallel iterations, MD-RERANK on diamonds " +
         "(paper Fig 2: 2D 44/45 ≈ 97.8% parallel iters, 3D > 90% of queries parallel)",
-      Seq("dims", "ranking", "rounds", "parallel rounds", "round %", "query %"),
+      Seq("dims", "ranking", "rounds", "parallel rounds", "round %", "query %", CrawlHeader),
       rows.map(r => Seq(r.dims.toString, r.ranking, r.rounds.toString,
-        r.parallelRounds.toString, pct(r.parallelRoundFrac), pct(r.parallelQueryFrac))),
+        r.parallelRounds.toString, pct(r.parallelRoundFrac), pct(r.parallelQueryFrac),
+        crawl(r.crawlQueries, r.crawlBound))),
     ))
   }
 

@@ -22,8 +22,8 @@ class Table3OneDBench extends SparkSpec {
   test("Table 3: print") {
     println(render(
       "Table 3 — 1D top-10 query cost by correlation scenario",
-      Seq("scenario", "algo", "queries", "crawl queries"),
-      rows.map(r => Seq(r.scenario, r.algo, r.queries.toString, r.crawlQueries.toString)),
+      Seq("scenario", "algo", "queries", CrawlHeader),
+      rows.map(r => Seq(r.scenario, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
     ))
   }
 

@@ -18,8 +18,8 @@ class Table4MDBench extends SparkSpec {
   test("Table 4: print") {
     println(render(
       "Table 4 — MD top-10 query cost by ranking function",
-      Seq("ranking", "algo", "queries"),
-      rows.map(r => Seq(r.ranking, r.algo, r.queries.toString)),
+      Seq("ranking", "algo", "queries", CrawlHeader),
+      rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
     ))
   }
 

@@ -20,8 +20,8 @@ class Table6BestWorstBench extends SparkSpec {
   test("Table 6: print") {
     println(render(
       "Table 6 — best vs worst cases (MD/1D-RERANK, top-10, run2 = second session on the same service)",
-      Seq("scenario", "run1 queries", "run1 crawl", "run1 sim s", "run2 queries"),
-      rows.map(r => Seq(r.scenario, r.run1Queries.toString, r.run1CrawlQueries.toString,
+      Seq("scenario", "run1 queries", s"run1 $CrawlHeader", "run1 sim s", "run2 queries"),
+      rows.map(r => Seq(r.scenario, r.run1Queries.toString, crawl(r.run1CrawlQueries, r.run1CrawlBound),
         f"${r.run1SimSec}%.1f", r.run2Queries.toString)),
     ))
   }

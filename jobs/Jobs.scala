@@ -26,9 +26,10 @@ object Table1Parallel {
     val rows  = table1(spark, JobHarness.sfArg(args, benchSf))
     println(render(
       "Table 1 — parallel iterations (paper Fig 2: 2D 44/45 ≈ 97.8% parallel, 3D > 90% of queries parallel)",
-      Seq("dims", "ranking", "rounds", "parallel", "round%", "query%"),
+      Seq("dims", "ranking", "rounds", "parallel", "round%", "query%", CrawlHeader),
       rows.map(r => Seq(r.dims.toString, r.ranking, r.rounds.toString,
-        r.parallelRounds.toString, pct(r.parallelRoundFrac), pct(r.parallelQueryFrac))),
+        r.parallelRounds.toString, pct(r.parallelRoundFrac), pct(r.parallelQueryFrac),
+        crawl(r.crawlQueries, r.crawlBound))),
     ))
     spark.stop()
   }
@@ -41,8 +42,9 @@ object Table2Zillow {
     val r     = table2(spark, JobHarness.sfArg(args, benchSf))
     println(render(
       "Table 2 — Zillow price − 0.3·sqft, MD-RERANK top-10 (paper: 27 queries, 33 s)",
-      Seq("backend", "queries", "rounds", "simulated s"),
-      Seq(Seq(r.backend, r.queries.toString, r.rounds.toString, f"${r.simulatedSec}%.1f")),
+      Seq("backend", "queries", "rounds", "simulated s", CrawlHeader),
+      Seq(Seq(r.backend, r.queries.toString, r.rounds.toString, f"${r.simulatedSec}%.1f",
+        crawl(r.crawlQueries, r.crawlBound))),
     ))
     spark.stop()
   }
@@ -55,8 +57,8 @@ object Table3OneD {
     val rows  = table3(spark, JobHarness.sfArg(args, benchSfSmall))
     println(render(
       "Table 3 — 1D query cost, top-10 (paper §III-B: baseline cheap when positively correlated, binary fails in dense regions)",
-      Seq("scenario", "algo", "queries", "crawl queries"),
-      rows.map(r => Seq(r.scenario, r.algo, r.queries.toString, r.crawlQueries.toString)),
+      Seq("scenario", "algo", "queries", CrawlHeader),
+      rows.map(r => Seq(r.scenario, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
     ))
     spark.stop()
   }
@@ -69,8 +71,8 @@ object Table4MD {
     val rows  = table4(spark, JobHarness.sfArg(args, benchSfSmall))
     println(render(
       "Table 4 — MD query cost, top-10",
-      Seq("ranking", "algo", "queries"),
-      rows.map(r => Seq(r.ranking, r.algo, r.queries.toString)),
+      Seq("ranking", "algo", "queries", CrawlHeader),
+      rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
     ))
     spark.stop()
   }
@@ -83,8 +85,9 @@ object Table5Indexing {
     val rows  = table5(spark, JobHarness.sfArg(args, benchSfSmall))
     println(render(
       "Table 5 — per-session cost on the dense attribute (paper §III-B: RERANK has low amortized cost)",
-      Seq("session", "filter", "BINARY queries", "RERANK queries"),
-      rows.map(r => Seq(r.session.toString, r.filter, r.binaryQueries.toString, r.rerankQueries.toString)),
+      Seq("session", "filter", "BINARY queries", "RERANK queries", s"BINARY $CrawlHeader", s"RERANK $CrawlHeader"),
+      rows.map(r => Seq(r.session.toString, r.filter, r.binaryQueries.toString, r.rerankQueries.toString,
+        crawl(r.binaryCrawl, r.binaryCrawlBound), crawl(r.rerankCrawl, r.rerankCrawlBound))),
     ))
     spark.stop()
   }
@@ -97,8 +100,8 @@ object Table6BestWorst {
     val rows  = table6(spark, JobHarness.sfArg(args, benchSfSmall))
     println(render(
       "Table 6 — best vs worst cases (paper §III-B)",
-      Seq("scenario", "run1 queries", "run1 crawl", "run1 sim s", "run2 queries"),
-      rows.map(r => Seq(r.scenario, r.run1Queries.toString, r.run1CrawlQueries.toString,
+      Seq("scenario", "run1 queries", s"run1 $CrawlHeader", "run1 sim s", "run2 queries"),
+      rows.map(r => Seq(r.scenario, r.run1Queries.toString, crawl(r.run1CrawlQueries, r.run1CrawlBound),
         f"${r.run1SimSec}%.1f", r.run2Queries.toString)),
     ))
     spark.stop()

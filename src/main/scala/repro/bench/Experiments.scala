@@ -33,6 +33,8 @@ object Experiments {
       parallelRounds: Long,
       parallelRoundFrac: Double,
       parallelQueryFrac: Double,
+      crawlQueries: Long,
+      crawlBound: Long,
   )
 
   /** MD-RERANK top-10 discovery on the diamond catalogue with the paper's
@@ -50,7 +52,8 @@ object Experiments {
       val session = service.newSession(WebQuery.all, rank, Algo.Rerank)
       session.getPage(10)
       val s = session.stats
-      T1Row(d, label, s.rounds, s.parallelRounds, s.parallelFraction, s.parallelQueryFraction)
+      T1Row(d, label, s.rounds, s.parallelRounds, s.parallelFraction, s.parallelQueryFraction,
+        s.crawlQueries, s.crawlLowerBound(db.k))
     }
   }
 
@@ -63,6 +66,8 @@ object Experiments {
       queries: Long,
       rounds: Long,
       simulatedSec: Double,
+      crawlQueries: Long,
+      crawlBound: Long,
   )
 
   /** One MD-RERANK top-10 session on the housing catalogue with the
@@ -79,7 +84,8 @@ object Experiments {
       service.newSession(WebQuery.all, MDRank(Seq("price" -> 1.0, "sqft" -> -0.3)), Algo.Rerank)
     session.getPage(10)
     val s = session.stats
-    T2Row(if (useSparkBackend) "spark" else "local", s.queries, s.rounds, s.simulatedMs() / 1000.0)
+    T2Row(if (useSparkBackend) "spark" else "local", s.queries, s.rounds, s.simulatedMs() / 1000.0,
+      s.crawlQueries, s.crawlLowerBound(db.k))
   }
 
   // -------------------------------------------------------------------
@@ -91,6 +97,7 @@ object Experiments {
       algo: String,
       queries: Long,
       crawlQueries: Long,
+      crawlBound: Long,
   )
 
   /** Top-10 discovery cost of each 1D strategy under orders that are
@@ -115,7 +122,7 @@ object Experiments {
       val session = service.newSession(WebQuery.all, rank, algo)
       session.getPage(10)
       val s = session.stats
-      T3Row(label, algoName, s.queries, s.crawlQueries)
+      T3Row(label, algoName, s.queries, s.crawlQueries, s.crawlLowerBound(db.k))
     }
   }
 
@@ -123,7 +130,7 @@ object Experiments {
   // Table 4 — §III-B "MD" scenario: weight combinations × dimensionality
   // -------------------------------------------------------------------
 
-  final case class T4Row(ranking: String, algo: String, queries: Long)
+  final case class T4Row(ranking: String, algo: String, queries: Long, crawlQueries: Long, crawlBound: Long)
 
   def table4(spark: SparkSession, sf: Double = benchSfSmall): Seq[T4Row] = {
     val db = WebData.diamondsLocal(spark, sf)
@@ -147,7 +154,8 @@ object Experiments {
       val service = new Qr2Service(db)
       val session = service.newSession(WebQuery.all, rank, algo)
       session.getPage(10)
-      T4Row(label, algoName, session.stats.queries)
+      val s = session.stats
+      T4Row(label, algoName, s.queries, s.crawlQueries, s.crawlLowerBound(db.k))
     }
   }
 
@@ -155,7 +163,16 @@ object Experiments {
   // Table 5 — §III-B "On-the-fly indexing": amortization across sessions
   // -------------------------------------------------------------------
 
-  final case class T5Row(session: Int, filter: String, binaryQueries: Long, rerankQueries: Long)
+  final case class T5Row(
+      session: Int,
+      filter: String,
+      binaryQueries: Long,
+      rerankQueries: Long,
+      binaryCrawl: Long,
+      binaryCrawlBound: Long,
+      rerankCrawl: Long,
+      rerankCrawlBound: Long,
+  )
 
   /** Ten successive user sessions on the shared service, each ranking by
     * the dense attribute (lwr asc) under a different filter. RERANK crawls
@@ -174,7 +191,9 @@ object Experiments {
       bs.getPage(10)
       val rs = rerankService.newSession(q, OneDRank("lwr", asc = true), Algo.Rerank)
       rs.getPage(10)
-      T5Row(i + 1, label, bs.stats.queries, rs.stats.queries)
+      val (b, r) = (bs.stats, rs.stats)
+      T5Row(i + 1, label, b.queries, r.queries,
+        b.crawlQueries, b.crawlLowerBound(db.k), r.crawlQueries, r.crawlLowerBound(db.k))
     }
   }
 
@@ -188,6 +207,7 @@ object Experiments {
       run1CrawlQueries: Long,
       run1SimSec: Double,
       run2Queries: Long,
+      run1CrawlBound: Long,
   )
 
   /** The paper's two named scenarios. Worst: rankings touching the lwr
@@ -207,7 +227,8 @@ object Experiments {
       val st1 = s1.stats
       val s2  = service.newSession(filters._2, spec, Algo.Rerank)
       s2.getPage(10)
-      T6Row(label, st1.queries, st1.crawlQueries, st1.simulatedMs() / 1000.0, s2.stats.queries)
+      T6Row(label, st1.queries, st1.crawlQueries, st1.simulatedMs() / 1000.0, s2.stats.queries,
+        st1.crawlLowerBound(db.k))
     }
 
     Seq(
@@ -247,4 +268,8 @@ object Experiments {
   }
 
   def pct(x: Double): String = f"${x * 100}%.1f%%"
+
+  /** Column header and cell for crawl queries next to their ⌈n/k⌉ bound. */
+  val CrawlHeader = "crawl / ⌈n/k⌉"
+  def crawl(queries: Long, bound: Long): String = s"$queries / $bound"
 }

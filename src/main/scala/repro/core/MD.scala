@@ -217,7 +217,7 @@ final class MDRerank(
           if (!res.overflow) cacheResolved(e.box, res.tuples)
           else if (widestDim(e.box)._2 <= MDRerank.DenseEps) {
             // Dense box: crawl unconditioned, index for everyone, resolve.
-            val ts = Crawler.crawlQuery(conn, e.box.toQuery(WebQuery.all))
+            val ts = Crawler.crawlQuery(conn, e.box.toQuery(WebQuery.all), Some(store))
             store.add(e.box, ts)
             consider(ts.filter(base.matches))
           } else {

@@ -60,6 +60,12 @@ abstract class OneDAlgorithm(
     */
   protected def findNextKey(frontierKey: Option[Double]): Option[Double]
 
+  /** The best matching attribute value (the minimum ascending, the maximum
+    * descending), found by the key search alone: the value's tie group is
+    * not fetched. This is all min/max discovery needs.
+    */
+  final def firstValue(): Option[Double] = findNextKey(None).map(ks.raw)
+
   /** All matching tuples with `attr = v`. Overflowing value groups are
     * crawled — the QR2 fix for >k tuples sharing a value.
     */
@@ -192,14 +198,18 @@ final class OneDRerank(
     var covered = true
     while (covered) {
       store.coverageFrom(attr, asc, lo) match {
-        case Some((covEnd, _, ts)) =>
+        case Some((covEnd, covIncl, ts)) =>
           val cand = ts.iterator
             .filter(t => base.matches(t) && ks.key(t.num(attr)) > lo)
             .map(t => ks.key(t.num(attr)))
             .minOption
           cand match {
             case Some(kv) => return Some(kv)
-            case None     => lo = covEnd // indexed stretch is empty under this filter
+            case None =>
+              // The indexed stretch is empty under this filter. An open end
+              // leaves `covEnd` itself unindexed: probe it before skipping.
+              if (!covIncl && !probe(Interval.point(covEnd)).isEmpty) return Some(covEnd)
+              lo = covEnd
           }
         case None => covered = false
       }
@@ -243,7 +253,7 @@ final class OneDRerank(
     */
   private def crawlAndIndex(lo: Double, hi: Double): Double = {
     val rawIv = ks.toRaw(Interval(lo, hi)) // closed — keeps coverage contiguous
-    val ts    = Crawler.crawlQuery(conn, WebQuery.all.and(attr, rawIv))
+    val ts    = Crawler.crawlQuery(conn, WebQuery.all.and(attr, rawIv), Some(store))
     store.add(Box(Map(attr -> rawIv)), ts)
     ts.iterator
       .filter(t => base.matches(t) && ks.key(t.num(attr)) > lo)
@@ -262,7 +272,7 @@ final class OneDRerank(
         val res = conn.topK(base.and(attr, Interval.point(v)))
         if (!res.overflow) res.tuples.toVector
         else {
-          val all = Crawler.crawlQuery(conn, WebQuery.all.and(attr, Interval.point(v)))
+          val all = Crawler.crawlQuery(conn, WebQuery.all.and(attr, Interval.point(v)), Some(store))
           store.add(pointBox, all)
           all
         }

@@ -1,5 +1,6 @@
 package repro.crawl
 
+import repro.service.DenseRegionStore
 import repro.webdb._
 
 import scala.collection.mutable
@@ -11,70 +12,110 @@ import scala.collection.mutable
   * Given a conjunctive query whose answer overflows the top-k interface,
   * the crawler retrieves *every* matching tuple by recursively partitioning
   * the query region on the attributes of the public interface until no
-  * sub-query overflows:
+  * sub-query overflows. An overflowing query is split by, in order of
+  * preference:
   *
-  *  1. split the widest (domain-normalized) numeric interval at its
-  *     midpoint;
-  *  2. when every numeric constraint has collapsed to a point, partition a
-  *     categorical attribute's value set in half;
-  *  3. when every attribute is fully pinned and the query still overflows,
+  *  1. *rank-shrink*: the median of the tuples the query returned, on the
+  *     numeric attribute whose returned values spread widest relative to
+  *     the query's interval. The cut leaves at least one returned tuple on
+  *     each side, so both children match strictly fewer tuples than their
+  *     parent and every overflowing query makes progress. Choosing by
+  *     spread avoids the attribute the hidden ranking follows: there the
+  *     returned values bunch at one end of the interval, and a split would
+  *     only peel off about k/2 tuples;
+  *  2. the midpoint of the widest (domain-normalized) numeric interval,
+  *     when the returned tuples agree on every numeric attribute;
+  *  3. when every numeric constraint has collapsed to a point, halving a
+  *     categorical attribute's value set;
+  *  4. when every attribute is fully pinned and the query still overflows,
   *     the database holds more than k fully-identical tuples and crawling
   *     is impossible through the public interface — the simulator's
   *     generators guarantee this never happens.
   *
   * QR2 invokes the crawler for (a) the *general positioning* fix — more
   * than system-k tuples sharing one attribute value — and (b) dense-region
-  * indexing in the RERANK algorithms. Sub-queries of one level are
-  * independent, so the crawler issues them in parallel rounds (bounded by
-  * `maxPar`), contributing to the parallel-iteration counts of Fig 2.
+  * indexing in the RERANK algorithms. Pending sub-queries are independent:
+  * one frontier queue sends up to `maxPar` of them per parallel round,
+  * contributing to the parallel-iteration counts of Fig 2. Given the shared
+  * [[DenseRegionStore]], a sub-query lying inside an indexed region is
+  * answered from the store and not sent.
   */
 object Crawler {
 
   /** Default per-round parallelism (DESIGN.md §7). */
   val DefaultMaxPar = 8
 
-  /** Retrieve every tuple matching `q`. Queries are tagged as crawl
-    * traffic in the connection's accountant.
+  /** Retrieve every tuple matching `q`. Queries, and the tuples
+    * retrieved, are tagged as crawl traffic in the connection's accountant.
+    * Sub-queries contained in a region of `store` are answered from it at
+    * no cost; cache verification passes no store, because it must re-crawl.
     *
     * @throws IllegalStateException if the region cannot be partitioned
     *         further yet still overflows (more than k identical tuples).
     */
-  def crawlQuery(conn: WebDbConn, q: WebQuery, maxPar: Int = DefaultMaxPar): Vector[WebTuple] = {
-    val schema = conn.schema
-    val out    = mutable.LinkedHashMap.empty[Long, WebTuple]
-    var level  = Vector(q)
-    while (level.nonEmpty) {
-      val next = mutable.Buffer.empty[WebQuery]
-      level.grouped(maxPar).foreach { round =>
-        val responses = conn.batch(round, crawl = true)
-        round.lazyZip(responses).foreach { (sub, res) =>
-          res.tuples.foreach(t => out.update(t.id, t))
-          if (res.overflow) next ++= partition(schema, sub)
+  def crawlQuery(
+      conn: WebDbConn,
+      q: WebQuery,
+      store: Option[DenseRegionStore] = None,
+      maxPar: Int = DefaultMaxPar,
+  ): Vector[WebTuple] = {
+    val schema   = conn.schema
+    val out      = mutable.LinkedHashMap.empty[Long, WebTuple]
+    val frontier = mutable.Queue(q)
+    while (frontier.nonEmpty) {
+      val round = mutable.Buffer.empty[WebQuery]
+      while (frontier.nonEmpty && round.size < maxPar) {
+        val sub = frontier.dequeue()
+        store.flatMap(_.lookupBox(Box(sub.num))) match {
+          case Some(ts) => ts.iterator.filter(sub.matches).foreach(t => out.update(t.id, t))
+          case None     => round += sub
         }
       }
-      level = next.toVector
+      if (round.nonEmpty) {
+        val responses = conn.batch(round.toSeq, crawl = true)
+        round.lazyZip(responses).foreach { (sub, res) =>
+          res.tuples.foreach(t => out.update(t.id, t))
+          if (res.overflow) frontier ++= partition(schema, sub, res.tuples)
+        }
+      }
     }
+    conn.acc.crawlTuples += out.size
     out.values.toVector
   }
 
-  /** Split an overflowing query into two disjoint sub-queries covering it. */
-  private def partition(schema: WebSchema, q: WebQuery): Seq[WebQuery] = {
-    // Widest splittable numeric attribute, width measured relative to the
+  /** Split an overflowing query, which returned `returned`, into two
+    * disjoint sub-queries covering it.
+    */
+  private[crawl] def partition(schema: WebSchema, q: WebQuery, returned: Seq[WebTuple]): Seq[WebQuery] = {
+    def interval(a: String): Interval = q.num.getOrElse(a, schema.numDomains(a))
+    def cut(a: String, c: Double): Seq[WebQuery] = {
+      val iv = interval(a)
+      Seq(q.and(a, iv.copy(hi = c, hiIncl = true)), q.and(a, iv.copy(lo = c, loIncl = false)))
+    }
+
+    // Rank-shrink: widest returned spread relative to the query's interval.
+    val spread = schema.numeric.flatMap { a =>
+      val vs = returned.map(_.num(a))
+      if (vs.max == vs.min) None
+      else Some((a, (vs.max - vs.min) / interval(a).width))
+    }
+    if (spread.nonEmpty) {
+      val a      = spread.maxBy(_._2)._1
+      val sorted = returned.map(_.num(a)).sorted
+      val median = sorted((sorted.size - 1) / 2)
+      // The cut keeps `≤ c` left and `> c` right; never cut at the maximum.
+      val c = if (median < sorted.last) median else sorted.filter(_ < sorted.last).last
+      return cut(a, c)
+    }
+    // Returned tuples agree on every numeric attribute — midpoint split of
+    // the widest splittable interval, width measured relative to the
     // advertised domain so heterogeneous scales compare fairly.
     val numeric = schema.numeric
-      .map { a =>
-        val iv = q.num.getOrElse(a, schema.numDomains(a))
-        val dw = math.max(schema.numDomains(a).width, 1e-12)
-        (a, iv, iv.width / dw)
-      }
-      .filter { case (_, iv, _) => iv.width > 0 }
+      .map(a => (a, interval(a).width / math.max(schema.numDomains(a).width, 1e-12)))
+      .filter(_._2 > 0)
     if (numeric.nonEmpty) {
-      val (a, iv, _) = numeric.maxBy(_._3)
-      val m          = iv.mid
-      return Seq(
-        q.and(a, iv.copy(hi = m, hiIncl = true)),
-        q.and(a, iv.copy(lo = m, loIncl = false)),
-      )
+      val a = numeric.maxBy(_._2)._1
+      return cut(a, interval(a).mid)
     }
     // All numeric constraints are points — partition a categorical facet.
     val cats = schema.categorical
@@ -82,8 +123,8 @@ object Crawler {
       .filter(_._2.size > 1)
     cats.headOption match {
       case Some((a, vs)) =>
-        val sorted       = vs.toSeq.sorted
-        val (lhs, rhs)   = sorted.splitAt(sorted.size / 2)
+        val sorted     = vs.toSeq.sorted
+        val (lhs, rhs) = sorted.splitAt(sorted.size / 2)
         Seq(q.andCat(a, lhs.toSet), q.andCat(a, rhs.toSet))
       case None =>
         throw new IllegalStateException(

@@ -61,21 +61,18 @@ final class Qr2Service(
 
   /** True min/max of `attr`, discovered on first use via 1D-RERANK in each
     * direction ("obtaining the min and max values on each attribute is
-    * simply doable using the 1D-RERANK algorithm", §II-B). Cached for the
-    * service lifetime.
+    * simply doable using the 1D-RERANK algorithm", §II-B). Only the key
+    * search runs: the normalizer needs the extreme values, not the tuples
+    * sharing them. Cached for the service lifetime.
     */
   def minMax(attr: String): (Double, Double) =
     minMaxCache.getOrElseUpdate(attr, {
       val conn = new WebDbConn(db, serviceAcc)
-      val mn = new OneDRerank(conn, WebQuery.all, attr, asc = true, store)
-        .getNext()
-        .getOrElse(throw new IllegalStateException(s"empty database: no min for $attr"))
-        .num(attr)
-      val mx = new OneDRerank(conn, WebQuery.all, attr, asc = false, store)
-        .getNext()
-        .getOrElse(throw new IllegalStateException(s"empty database: no max for $attr"))
-        .num(attr)
-      (mn, mx)
+      def extreme(asc: Boolean): Double =
+        new OneDRerank(conn, WebQuery.all, attr, asc, store)
+          .firstValue()
+          .getOrElse(throw new IllegalStateException(s"empty database: no extreme for $attr"))
+      (extreme(asc = true), extreme(asc = false))
     })
 
   /** Min-max normalizer over the given ranking attributes. */

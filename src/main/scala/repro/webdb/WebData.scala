@@ -30,6 +30,11 @@ object WebData {
 
   private def n(base: Long, sf: Double): Long = math.max(8L, (base * sf).toLong)
 
+  /** Partitions of the generating range. Spark seeds `rand` per partition,
+    * so a fixed count keeps the catalogues identical on every host.
+    */
+  private val NumPartitions = 4
+
   val diamondSchema: WebSchema = WebSchema(
     name = "diamonds",
     idCol = "id",
@@ -74,7 +79,7 @@ object WebData {
     */
   def diamonds(spark: SparkSession, sf: Double = 0.01, seed: Long = 7): DataFrame = {
     spark
-      .range(1, n(NDiamondsPerSf, sf) + 1)
+      .range(1, n(NDiamondsPerSf, sf) + 1, 1, NumPartitions)
       .toDF("id")
       .withColumn("carat", round(pow(rand(seed), 2.0) * 4.8 + lit(0.2), 2))
       .withColumn(
@@ -101,7 +106,7 @@ object WebData {
     */
   def houses(spark: SparkSession, sf: Double = 0.01, seed: Long = 11): DataFrame = {
     spark
-      .range(1, n(NHousesPerSf, sf) + 1)
+      .range(1, n(NHousesPerSf, sf) + 1, 1, NumPartitions)
       .toDF("id")
       .withColumn("sqft", round(rand(seed) * 4500 + 500, 0))
       .withColumn(

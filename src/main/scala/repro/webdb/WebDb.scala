@@ -25,17 +25,20 @@ trait WebDb {
   * round-trips; a round whose batch contains more than one query is a
   * *parallel* round (the metric of Fig 2). `crawlQueries` tags the subset
   * of queries issued by the crawler (general-positioning fix + dense-region
-  * indexing) so benches can separate discovery from crawling cost.
+  * indexing) so benches can separate discovery from crawling cost;
+  * `crawlTuples` counts the tuples those crawls returned, which gives the
+  * ⌈n/k⌉ lower bound on their cost.
   */
 final class Accountant {
   var queries: Long       = 0L
   var rounds: Long        = 0L
   var parallelRounds: Long = 0L
   var crawlQueries: Long  = 0L
+  var crawlTuples: Long   = 0L
   val batchSizes: mutable.Buffer[Int] = mutable.Buffer.empty
 
   def snapshot: DbStats =
-    DbStats(queries, rounds, parallelRounds, crawlQueries, batchSizes.toVector)
+    DbStats(queries, rounds, parallelRounds, crawlQueries, batchSizes.toVector, crawlTuples)
 
   /** Difference accountant-style stats between two snapshots. */
   def since(prev: DbStats): DbStats =
@@ -45,6 +48,7 @@ final class Accountant {
       parallelRounds - prev.parallelRounds,
       crawlQueries - prev.crawlQueries,
       batchSizes.toVector.drop(prev.batchSizes.size),
+      crawlTuples - prev.crawlTuples,
     )
 }
 
@@ -58,7 +62,13 @@ final case class DbStats(
     parallelRounds: Long,
     crawlQueries: Long,
     batchSizes: Vector[Int],
+    crawlTuples: Long = 0L,
 ) {
+  /** ⌈n/k⌉ for the n tuples crawled: the fewest top-k queries that could
+    * have retrieved them.
+    */
+  def crawlLowerBound(k: Int): Long = (crawlTuples + k - 1) / k
+
   def sequentialRounds: Long = rounds - parallelRounds
   def parallelFraction: Double = if (rounds == 0) 0.0 else parallelRounds.toDouble / rounds
   /** Fraction of *queries* that travelled inside a parallel batch (Fig 2's

@@ -157,4 +157,15 @@ class OneDSpec extends SparkSpec {
     assert(c2.acc.queries < c1.acc.queries / 5,
       s"first=${c1.acc.queries} second=${c2.acc.queries}")
   }
+
+  test("RERANK emits the value at the open end of a hand-added region") {
+    val db    = TestFixtures.diamonds(spark)
+    val store = new DenseRegionStore
+    // [0, 1.00) holds no tuple, and its open end is the lwr = 1.00 spike.
+    store.add(Box(Map("lwr" -> Interval(0.0, 1.0, hiIncl = false))), Seq.empty)
+    val got   = new OneDRerank(new WebDbConn(db), WebQuery.all, "lwr", asc = true, store).next(30)
+    val truth = TestFixtures.groundTruth1D(db, WebQuery.all, "lwr", asc = true).take(30)
+    assert(truth.head.num("lwr") == 1.0, "premise: the spike is the smallest lwr value")
+    assert(got.map(_.id) == truth.map(_.id))
+  }
 }

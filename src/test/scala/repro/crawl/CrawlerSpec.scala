@@ -1,5 +1,9 @@
 package repro.crawl
 
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+import org.scalacheck.{Gen, Prop, Test}
+import repro.service.DenseRegionStore
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
@@ -89,5 +93,90 @@ class CrawlerSpec extends SparkSpec {
     val db = TestFixtures.diamonds(spark)
     val ts = Crawler.crawlQuery(new WebDbConn(db), WebQuery.all.and("carat", Interval(0.2, 0.3)))
     assert(ts.map(_.id).distinct.size == ts.size)
+  }
+
+  // -------------------------------------------------------------------
+  // Exact matching set, as ScalaCheck properties over random queries.
+  // -------------------------------------------------------------------
+
+  private lazy val db = TestFixtures.diamonds(spark)
+
+  /** Run `p` from a fixed seed, so a failure reproduces. */
+  private def check(p: Prop): Unit = {
+    val params = Test.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(Seed(20180416L))
+    val res    = Test.check(params, p)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  /** An interval between two catalogue values of `a`, so boxes land where
+    * the tuples are; bound kinds are random.
+    */
+  private def genInterval(a: String): Gen[Interval] =
+    for {
+      v1 <- Gen.oneOf(db.allTuples).map(_.num(a))
+      v2 <- Gen.oneOf(db.allTuples).map(_.num(a))
+      li <- Gen.oneOf(true, false)
+      hi <- Gen.oneOf(true, false)
+    } yield Interval(math.min(v1, v2), math.max(v1, v2), li, hi)
+
+  private lazy val genBox: Gen[Box] =
+    for {
+      attrs <- Gen.atLeastOne(db.schema.numeric).map(_.toSeq.take(2))
+      ivs   <- Gen.sequence[Seq[Interval], Interval](attrs.map(genInterval))
+    } yield Box(attrs.zip(ivs).toMap)
+
+  private lazy val genFacet: Gen[WebQuery] =
+    for {
+      a  <- Gen.oneOf(db.schema.categorical)
+      vs <- Gen.atLeastOne(db.schema.catDomains(a))
+    } yield WebQuery.all.andCat(a, vs.toSet)
+
+  /** A box, a facet filter, the lwr = 1.00 spike, or a combination. */
+  private lazy val genQuery: Gen[WebQuery] = Gen.oneOf(
+    genBox.map(_.toQuery()),
+    genFacet,
+    genFacet.map(_.and("lwr", Interval.point(1.0))),
+    Gen.zip(genBox, genFacet).map { case (b, f) => b.toQuery(f) },
+    genBox.map(_.toQuery(WebQuery.all.and("lwr", Interval.point(1.0)))),
+  )
+
+  private def crawlsExactly(q: WebQuery, store: Option[DenseRegionStore]): Prop = {
+    val got = Crawler.crawlQuery(new WebDbConn(db), q, store).map(_.id)
+    Prop(got.toSet == brute(db, q) && got.distinct.size == got.size) :| s"query $q"
+  }
+
+  test("property: a crawl returns exactly allTuples.filter(q.matches)") {
+    check(Prop.forAll(genQuery)(q => crawlsExactly(q, None)))
+  }
+
+  test("property: a crawl through a store holding an overlapping region is still exact") {
+    check(Prop.forAll(genQuery, genBox) { (q, region) =>
+      val store = new DenseRegionStore
+      store.add(region, db.allTuples.filter(region.contains))
+      crawlsExactly(q, Some(store))
+    })
+  }
+
+  test("sub-queries inside an indexed region are answered from the store, unbilled") {
+    val spike = Box(Map("lwr" -> Interval.point(1.0)))
+    val store = new DenseRegionStore
+    store.add(spike, db.allTuples.filter(spike.contains))
+    val conn = new WebDbConn(db)
+    val q    = spike.toQuery(WebQuery.all.andCat("cut", Set("Ideal")))
+    assert(Crawler.crawlQuery(conn, q, Some(store)).map(_.id).toSet == brute(db, q))
+    assert(conn.acc.queries == 0)
+  }
+
+  for (sf <- Seq(0.005, 0.05)) {
+    test(s"the lwr spike crawl stays within 4 * ceil(n/k) queries (sf=$sf)") {
+      val big  = TestFixtures.diamonds(spark, sf)
+      val conn = new WebDbConn(big)
+      val q    = WebQuery.all.and("lwr", Interval.point(1.0))
+      val n    = brute(big, q).size
+      val ts   = Crawler.crawlQuery(conn, q)
+      assert(ts.size == n)
+      val bound = 4 * ((n + big.k - 1) / big.k)
+      assert(conn.acc.queries <= bound, s"spike of $n tuples: ${conn.acc.queries} queries, bound $bound")
+    }
   }
 }

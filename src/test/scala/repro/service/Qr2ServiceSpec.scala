@@ -1,5 +1,6 @@
 package repro.service
 
+import repro.crawl.Crawler
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
@@ -9,12 +10,22 @@ import repro.{SparkSpec, TestFixtures}
 class Qr2ServiceSpec extends SparkSpec {
 
   test("minMax discovery through 1D-RERANK equals the true extrema") {
+    for (db <- Seq(TestFixtures.diamonds(spark), TestFixtures.houses(spark))) {
+      val service = new Qr2Service(db)
+      for (a <- db.schema.numeric) {
+        val vs = db.allTuples.map(_.num(a))
+        assert(service.minMax(a) == ((vs.min, vs.max)), s"${db.schema.name}.$a")
+      }
+    }
+  }
+
+  test("minMax discovers values only: no crawl queries on diamonds") {
     val db      = TestFixtures.diamonds(spark)
     val service = new Qr2Service(db)
-    for (a <- Seq("price", "carat", "depth")) {
-      val vs = db.allTuples.map(_.num(a))
-      assert(service.minMax(a) == ((vs.min, vs.max)), s"attr $a")
-    }
+    db.schema.numeric.foreach(service.minMax)
+    assert(service.serviceAcc.queries > 0)
+    assert(service.serviceAcc.crawlQueries == 0,
+      s"${service.serviceAcc.crawlQueries} of ${service.serviceAcc.queries} bootstrap queries crawled")
   }
 
   test("minMax is cached: the second call issues no further queries") {
@@ -124,6 +135,22 @@ class Qr2ServiceSpec extends SparkSpec {
     assert(refreshed == before.size)
     val after = service.store.allEntries.map(e => e.box -> e.tuples.map(_.id).toSet).toMap
     assert(after == before, "static database: verification must reproduce identical content")
+  }
+
+  test("verifyCache bills a full re-crawl of every region, ignoring the store") {
+    val db      = TestFixtures.diamonds(spark)
+    val service = new Qr2Service(db)
+    service.newSession(WebQuery.all, OneDRank("lwr", asc = true), Algo.Rerank).getPage(10)
+    service.newSession(WebQuery.all, MDRank(Seq("price" -> 1.0, "lwr" -> 1.0)), Algo.Rerank).getPage(10)
+    val entries = service.store.allEntries
+    assert(entries.size > 1)
+    // The same crawls through a fresh connection that never reads a store.
+    val fresh = new WebDbConn(db)
+    entries.foreach(e => Crawler.crawlQuery(fresh, e.box.toQuery(WebQuery.all)))
+    val before = service.serviceAcc.crawlQueries
+    service.verifyCache()
+    assert(service.serviceAcc.crawlQueries - before == fresh.acc.crawlQueries)
+    assert(fresh.acc.crawlQueries >= entries.size)
   }
 
   test("resultsAsDataFrame presents the page in user-ranking order") {

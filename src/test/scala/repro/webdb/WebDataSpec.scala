@@ -1,5 +1,6 @@
 package repro.webdb
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 
@@ -80,6 +81,22 @@ class WebDataSpec extends SparkSpec {
     val a = WebData.diamonds(spark, 0.002).collect().map(_.toSeq).toSeq
     val b = WebData.diamonds(spark, 0.002).collect().map(_.toSeq).toSeq
     assert(a == b)
+  }
+
+  test("catalogues do not depend on the host's parallelism") {
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    def fingerprint(parallelism: Int): (Double, Long, Double) = {
+      val old = spark.conf.getOption(key)
+      spark.conf.set(key, parallelism.toString)
+      // Summed locally in id order: a distributed sum is not exact.
+      def priceSum(df: DataFrame): Double =
+        df.orderBy("id").select("price").collect().map(_.getDouble(0)).sum
+      try {
+        val d = WebData.diamonds(spark, 0.005)
+        (priceSum(d), d.filter(col("lwr") === 1.0).count(), priceSum(WebData.houses(spark, 0.005)))
+      } finally old.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+    }
+    assert(fingerprint(2) == fingerprint(8))
   }
 
   test("different seeds give different data") {
