@@ -1,0 +1,185 @@
+package repro.core
+
+import repro.service.DenseRegionStore
+import repro.webdb._
+import repro.{SparkSpec, TestFixtures}
+
+/** Exact-cost pins on the diamonds table: for every strategy, the precise
+  * query, round, parallel-round, crawl-query and crawl-tuple counts and the
+  * emitted ids of two `next(10)` pages. The correctness grids check only
+  * ids and the cost-shape tests only inequalities; these pins catch a
+  * change that still ranks correctly but sends different requests.
+  */
+class CostPinSpec extends SparkSpec {
+  import CostPinSpec.Pin
+
+  private lazy val db = TestFixtures.diamonds(spark)
+
+  private def twoPages(conn: WebDbConn, g: GetNexter): Pin = {
+    val ids = (g.next(10) ++ g.next(10)).map(_.id)
+    val a   = conn.acc
+    Pin(a.queries, a.rounds, a.parallelRounds, a.crawlQueries, a.crawlTuples, ids)
+  }
+
+  private def pin(name: String)(mk: WebDbConn => GetNexter): Unit =
+    test(s"$name costs exactly its pinned counts") {
+      val conn = new WebDbConn(db)
+      assert(twoPages(conn, mk(conn)) == expected(name))
+    }
+
+  /** Two sessions over one store: the first crawls and indexes, the second
+    * resolves from the store.
+    */
+  private def pinTwice(name: String)(mk: (WebDbConn, DenseRegionStore) => GetNexter): Unit =
+    test(s"$name twice over one store costs exactly its pinned counts") {
+      val store = new DenseRegionStore
+      for (run <- Seq("#1", "#2")) {
+        val conn = new WebDbConn(db)
+        assert(twoPages(conn, mk(conn, store)) == expected(s"$name $run"), run)
+      }
+    }
+
+  private def md(weights: (String, Double)*): (LinearRanking, Normalizer) = {
+    val f = LinearRanking(weights)
+    (f, TestFixtures.trueNorm(db, f.attrs))
+  }
+
+  private val filters = Seq("unfiltered" -> WebQuery.all, "cut=Ideal" -> WebQuery.all.andCat("cut", Set("Ideal")))
+
+  // 1D on carat: some carat values hold more than k tuples, so tie groups
+  // are crawled as well as searched.
+  for ((label, base) <- filters; asc <- Seq(true, false)) {
+    val dir = if (asc) "asc" else "desc"
+    pin(s"1D-BASELINE carat $dir $label")(c => new OneDBaseline(c, base, "carat", asc))
+    pin(s"1D-BINARY carat $dir $label")(c => new OneDBinary(c, base, "carat", asc))
+    pin(s"1D-RERANK carat $dir $label")(c => new OneDRerank(c, base, "carat", asc, new DenseRegionStore))
+  }
+
+  for {
+    (label, base) <- filters
+    (fLabel, ws)  <- Seq(
+      "price - 0.5 carat"             -> Seq("price" -> 1.0, "carat" -> -0.5),
+      "price - 0.1 carat - 0.5 depth" -> Seq("price" -> 1.0, "carat" -> -0.1, "depth" -> -0.5),
+    )
+  } {
+    def fn = md(ws: _*)
+    pin(s"MD-BASELINE [$fLabel] $label") { c => val (f, n) = fn; new MDBaseline(c, base, f, n) }
+    pin(s"MD-BINARY [$fLabel] $label") { c => val (f, n) = fn; new MDBinary(c, base, f, n) }
+    pin(s"MD-RERANK [$fLabel] $label") { c => val (f, n) = fn; new MDRerank(c, base, f, n, new DenseRegionStore) }
+    pin(s"MD-TA [$fLabel] $label") { c => val (f, n) = fn; new MDTA(c, base, f, n, new DenseRegionStore) }
+  }
+
+  // The lwr = 1.00 spike: 20 % of the table shares one lwr value, so every
+  // strategy reaches its dense-region handling. An MD ranking on lwr alone
+  // narrows a box to the spike itself.
+  pin("1D-BASELINE lwr asc")(c => new OneDBaseline(c, WebQuery.all, "lwr", asc = true))
+  pin("1D-BINARY lwr asc")(c => new OneDBinary(c, WebQuery.all, "lwr", asc = true))
+  pinTwice("1D-RERANK lwr asc")((c, s) => new OneDRerank(c, WebQuery.all, "lwr", asc = true, s))
+  pin("MD-BASELINE [lwr]") { c => val (f, n) = md("lwr" -> 1.0); new MDBaseline(c, WebQuery.all, f, n) }
+  pin("MD-BINARY [lwr]") { c => val (f, n) = md("lwr" -> 1.0); new MDBinary(c, WebQuery.all, f, n) }
+  pin("MD-RERANK [lwr]") { c =>
+    val (f, n) = md("lwr" -> 1.0); new MDRerank(c, WebQuery.all, f, n, new DenseRegionStore)
+  }
+  pin("MD-BASELINE [price + lwr]") { c =>
+    val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDBaseline(c, WebQuery.all, f, n)
+  }
+  pin("MD-BINARY [price + lwr]") { c =>
+    val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDBinary(c, WebQuery.all, f, n)
+  }
+  pinTwice("MD-RERANK [price + lwr]") { (c, s) =>
+    val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDRerank(c, WebQuery.all, f, n, s)
+  }
+
+  /** A change that moves any of these must say why. */
+  private lazy val expected: Map[String, Pin] = Map(
+    "1D-BASELINE carat asc unfiltered" ->
+      Pin(13, 6, 3, 10, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
+    "1D-BINARY carat asc unfiltered" ->
+      Pin(47, 33, 6, 21, 82, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
+    "1D-RERANK carat asc unfiltered" ->
+      Pin(21, 14, 3, 10, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
+    "1D-BASELINE carat desc unfiltered" ->
+      Pin(300, 300, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
+    "1D-BINARY carat desc unfiltered" ->
+      Pin(100, 100, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
+    "1D-RERANK carat desc unfiltered" ->
+      Pin(94, 94, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
+    "1D-BASELINE carat asc cut=Ideal" ->
+      Pin(9, 9, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
+    "1D-BINARY carat asc cut=Ideal" ->
+      Pin(30, 30, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
+    "1D-RERANK carat asc cut=Ideal" ->
+      Pin(21, 21, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
+    "1D-BASELINE carat desc cut=Ideal" ->
+      Pin(240, 240, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
+    "1D-BINARY carat desc cut=Ideal" ->
+      Pin(94, 94, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
+    "1D-RERANK carat desc cut=Ideal" ->
+      Pin(110, 110, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
+    "MD-BASELINE [price - 0.5 carat] unfiltered" ->
+      Pin(241, 43, 41, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+    "MD-BINARY [price - 0.5 carat] unfiltered" ->
+      Pin(116, 31, 19, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+    "MD-RERANK [price - 0.5 carat] unfiltered" ->
+      Pin(116, 31, 19, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+    "MD-TA [price - 0.5 carat] unfiltered" ->
+      Pin(3281, 3281, 0, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+    "MD-BASELINE [price - 0.1 carat - 0.5 depth] unfiltered" ->
+      Pin(114, 66, 48, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+    "MD-BINARY [price - 0.1 carat - 0.5 depth] unfiltered" ->
+      Pin(71, 29, 14, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+    "MD-RERANK [price - 0.1 carat - 0.5 depth] unfiltered" ->
+      Pin(71, 29, 14, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+    "MD-TA [price - 0.1 carat - 0.5 depth] unfiltered" ->
+      Pin(1552, 1552, 0, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+    "MD-BASELINE [price - 0.5 carat] cut=Ideal" ->
+      Pin(160, 47, 37, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+    "MD-BINARY [price - 0.5 carat] cut=Ideal" ->
+      Pin(64, 21, 10, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+    "MD-RERANK [price - 0.5 carat] cut=Ideal" ->
+      Pin(64, 21, 10, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+    "MD-TA [price - 0.5 carat] cut=Ideal" ->
+      Pin(996, 996, 0, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+    "MD-BASELINE [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
+      Pin(91, 56, 35, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+    "MD-BINARY [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
+      Pin(35, 22, 9, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+    "MD-RERANK [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
+      Pin(35, 22, 9, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+    "MD-TA [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
+      Pin(630, 630, 0, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+    "1D-BASELINE lwr asc" ->
+      Pin(61, 12, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+    "1D-BINARY lwr asc" ->
+      Pin(142, 44, 18, 116, 420, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+    "1D-RERANK lwr asc #1" ->
+      Pin(71, 22, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+    "1D-RERANK lwr asc #2" ->
+      Pin(12, 12, 0, 0, 0, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+    "MD-BASELINE [lwr]" ->
+      Pin(60, 11, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+    "MD-BINARY [lwr]" ->
+      Pin(79, 30, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+    "MD-RERANK [lwr]" ->
+      Pin(68, 17, 9, 60, 214, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+    "MD-BASELINE [price + lwr]" ->
+      Pin(45, 34, 10, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
+    "MD-BINARY [price + lwr]" ->
+      Pin(48, 42, 6, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
+    "MD-RERANK [price + lwr] #1" ->
+      Pin(42, 23, 5, 22, 72, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
+    "MD-RERANK [price + lwr] #2" ->
+      Pin(19, 18, 1, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
+  )
+}
+
+object CostPinSpec {
+  final case class Pin(
+      queries: Long,
+      rounds: Long,
+      parallelRounds: Long,
+      crawlQueries: Long,
+      crawlTuples: Long,
+      ids: Seq[Long],
+  )
+}
