@@ -220,28 +220,23 @@ final class OneDRerank(
     val first = probe(Interval(lo, hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl))
     if (first.isEmpty) return None
     if (!first.overflow) return Some(minKey(first))
-    var hiMatch = true
     hi = minKey(first) // observed-min shortcut; hi is a known matching value
     // Invariant: (lo, hi] contains at least one matching tuple.
     while (true) {
       if (hi - lo <= OneDRerank.DenseEps * domainWidth) {
-        if (hiMatch) {
-          // Cheap resolution attempt before declaring the sliver dense.
-          val open = Interval.open(lo, hi)
-          if (open.isEmpty) return Some(hi)
-          val res = probe(open)
-          if (res.isEmpty) return Some(hi)
-          if (!res.overflow) return Some(minKey(res))
-          hi = minKey(res)
-          if (hi - lo > OneDRerank.DenseEps * domainWidth) { /* keep halving */ }
-          else return Some(crawlAndIndex(lo, hi))
-        } else return Some(crawlAndIndex(lo, hi))
+        // Cheap resolution attempt before declaring the sliver dense.
+        val open = Interval.open(lo, hi)
+        if (open.isEmpty) return Some(hi)
+        val res = probe(open)
+        if (res.isEmpty) return Some(hi)
+        if (!res.overflow) return Some(minKey(res))
+        return Some(crawlAndIndex(lo, minKey(res)))
       } else {
         val mid = lo + (hi - lo) / 2
         val res = probe(Interval.openClosed(lo, mid))
         if (res.isEmpty) lo = mid
         else if (!res.overflow) return Some(minKey(res))
-        else { hi = minKey(res); hiMatch = true }
+        else hi = minKey(res)
       }
     }
     sys.error("unreachable")
