@@ -1,14 +1,11 @@
 package repro.core
 
-import repro.crawl.Crawler
 import repro.service.DenseRegionStore
 import repro.webdb._
 
 import scala.collection.mutable
 
 object MDAlgorithm {
-  /** Per-round parallelism cap (thread pool of the QR2 web service). */
-  val MaxPar = 8
   /** Tie tolerance when comparing candidate scores to box bounds. */
   val TieEps = 1e-9
 }
@@ -16,14 +13,16 @@ object MDAlgorithm {
 /** Shared skeleton of the MD get-next strategies: candidate bookkeeping,
   * the session-level cache of *resolved* boxes (QR2's session variable —
   * a box whose query did not overflow is fully known and never re-queried
-  * within the session), and the parallel round executor.
+  * within the session), and the parallel round executor. A get-next runs
+  * [[search]], which improves the best candidate until no box can beat it,
+  * and emits that candidate.
   */
 abstract class MDAlgorithm(
     val conn: WebDbConn,
     val base: WebQuery,
     val f: LinearRanking,
     val norm: Normalizer,
-    val maxPar: Int = MDAlgorithm.MaxPar,
+    policy: DensePolicy,
 ) extends GetNexter {
 
   /** Ids already returned to the user. */
@@ -38,14 +37,6 @@ abstract class MDAlgorithm(
       a -> base.num.get(a).map(dom.intersect).getOrElse(dom)
     }.toMap)
 
-  protected def scoreOf(t: WebTuple): Double = f.score(t, norm)
-
-  /** (score, id)-lexicographic candidate order — the output order of the
-    * ground truth, so ties resolve deterministically.
-    */
-  protected def better(a: (Double, WebTuple), b: (Double, WebTuple)): Boolean =
-    a._1 < b._1 || (a._1 == b._1 && a._2.id < b._2.id)
-
   protected def minScoreOf(b: Box): Double = RankContour.minScore(f, b, norm)
 
   /** Widest dimension, width measured relative to the advertised domain. */
@@ -59,16 +50,12 @@ abstract class MDAlgorithm(
   // -------------------------------------------------------------------
   private val resolved = mutable.Buffer.empty[(Box, Vector[WebTuple])]
 
-  protected def cacheResolved(box: Box, ts: Seq[WebTuple]): Unit =
+  private def cacheResolved(box: Box, ts: Seq[WebTuple]): Unit =
     resolved += ((box, ts.toVector))
 
   /** Full content of `box` if a resolved superset is cached. */
-  protected def fromSessionCache(box: Box): Option[Vector[WebTuple]] =
+  private def fromSessionCache(box: Box): Option[Vector[WebTuple]] =
     resolved.collectFirst { case (rb, ts) if box.containedIn(rb) => ts.filter(box.contains) }
-
-  /** Unemitted tuples of a response, as (score, tuple) candidates. */
-  protected def candidates(ts: Seq[WebTuple]): Seq[(Double, WebTuple)] =
-    ts.filter(t => !emitted.contains(t.id)).map(t => (scoreOf(t), t))
 
   /** Score of the most recently emitted tuple. Every tuple scoring strictly
     * below it has already been emitted (the output is in score order), so a
@@ -81,155 +68,122 @@ abstract class MDAlgorithm(
   protected def exhaustedBelowContour(b: Box): Boolean =
     RankContour.maxScore(f, b, norm) < lastEmittedScore
 
-  protected def emit(best: Option[(Double, WebTuple)]): Option[WebTuple] =
+  /** Best unemitted candidate found so far by the running get-next. */
+  private var best: Option[(Double, WebTuple)] = None
+
+  /** The rank-contour `s*` of the running get-next: the best candidate's
+    * score (plus the tie tolerance), or +∞ before any candidate.
+    */
+  protected def sStar: Double = best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
+
+  /** Keep the best unemitted tuple of `ts` in (score, id)-lexicographic
+    * order — the output order of the ground truth, so ties resolve
+    * deterministically.
+    */
+  private def consider(ts: Seq[WebTuple]): Unit =
+    for (t <- ts if !emitted.contains(t.id)) {
+      val s = f.score(t, norm)
+      if (best.forall { case (bs, bt) => s < bs || (s == bs && t.id < bt.id) }) best = Some((s, t))
+    }
+
+  final def getNext(): Option[WebTuple] = {
+    best = None
+    search()
     best.map { case (s, t) => emitted += t.id; lastEmittedScore = s; t }
+  }
+
+  /** Improve the best candidate until no unexplored box can beat it. */
+  protected def search(): Unit
+
+  /** One round of the search. Boxes are drawn from `boxes` until it runs
+    * dry or [[WebDbConn.MaxPar]] of them need a query; a box the session
+    * cache or the policy's index holds resolves locally, and the rest go
+    * out as **one parallel batch**. Every response is considered in batch
+    * order: a box that did not overflow is cached as resolved; one that
+    * overflows at the policy's give-up width is crawled; any other is
+    * handed to `overflow` at once, so the caller sees `s*` as the earlier
+    * responses of the round left it.
+    */
+  protected final def round(boxes: Iterator[Box])(overflow: Box => Unit): Unit = {
+    val batch = mutable.Buffer.empty[Box]
+    while (batch.size < WebDbConn.MaxPar && boxes.hasNext) {
+      val box = boxes.next()
+      fromSessionCache(box).orElse(policy.lookup(base, box)) match {
+        case Some(ts) => consider(ts)
+        case None     => batch += box
+      }
+    }
+    if (batch.nonEmpty) {
+      val responses = conn.batch(batch.toSeq.map(_.toQuery(base)))
+      batch.lazyZip(responses).foreach { (box, res) =>
+        consider(res.tuples)
+        if (!res.overflow) cacheResolved(box, res.tuples)
+        else if (widestDim(box)._2 <= policy.widthMD) {
+          val ts = policy.crawl(conn, base, box)
+          cacheResolved(box, ts)
+          consider(ts)
+        } else overflow(box)
+      }
+    }
+  }
 }
 
-object MDBinary {
-  /** Machine-resolution give-up width for pure branch-and-bound. */
-  val Resolution: Double = 1e-6
-}
-
-/** MD-BINARY — best-first branch-and-bound over boxes: a priority queue
-  * ordered by the box's best achievable score; every round pops all boxes
-  * that could still beat the current candidate (up to the parallelism cap)
-  * and queries them as **one parallel batch** — these are exactly the
-  * paper's parallel verification / subspace-search queries. Overflowing
-  * boxes split at the midpoint of their (relatively) widest dimension.
-  * Dense boxes degrade to a crawl at machine resolution, un-indexed.
+/** MD-BINARY and MD-RERANK — best-first branch-and-bound over boxes: a
+  * priority queue ordered by the box's best achievable score; every round
+  * pops the boxes that could still beat the current candidate and queries
+  * them as one parallel batch — these are exactly the paper's parallel
+  * verification / subspace-search queries. Overflowing boxes split at the
+  * midpoint of their (relatively) widest dimension. The [[DensePolicy]]
+  * decides how a box that is still overflowing at its give-up width is
+  * resolved and whether indexed regions resolve boxes locally.
   */
-class MDBinary(
+class MDBranchAndBound(
     conn: WebDbConn,
     base: WebQuery,
     f: LinearRanking,
     norm: Normalizer,
-    maxPar: Int = MDAlgorithm.MaxPar,
-) extends MDAlgorithm(conn, base, f, norm, maxPar) {
+    policy: DensePolicy,
+) extends MDAlgorithm(conn, base, f, norm, policy) {
 
   private final case class Entry(ms: Double, serial: Long, box: Box)
   private implicit val entryOrd: Ordering[Entry] =
-    Ordering.by((e: Entry) => (-e.ms, -e.serial)) // PriorityQueue is a max-heap
+    Ordering.by((e: Entry) => (-e.ms, -e.serial)) // max-heap: lowest ms, then oldest, first
   private var serial = 0L
 
-  def getNext(): Option[WebTuple] = {
+  protected def search(): Unit = {
     val pq = mutable.PriorityQueue.empty[Entry]
     def push(b: Box): Unit =
       if (!b.isEmpty && !exhaustedBelowContour(b)) {
         serial += 1; pq.enqueue(Entry(minScoreOf(b), serial, b))
       }
+    def viable: Boolean = pq.nonEmpty && pq.head.ms < sStar
     push(initialBox)
-
-    var best: Option[(Double, WebTuple)] = None
-    def bound: Double = best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
-    def consider(ts: Seq[WebTuple]): Unit =
-      candidates(ts).foreach(c => if (best.forall(b => better(c, b))) best = Some(c))
-
-    while (pq.nonEmpty && pq.head.ms < bound) {
-      // Collect one round: session-cache hits resolve for free; the rest
-      // form a parallel batch.
-      val round = mutable.Buffer.empty[Entry]
-      while (pq.nonEmpty && pq.head.ms < bound && round.size < maxPar) {
-        val e = pq.dequeue()
-        fromSessionCache(e.box) match {
-          case Some(ts) => consider(ts)
-          case None     => round += e
-        }
+    while (viable)
+      round(Iterator.continually(pq).takeWhile(_ => viable).map(_.dequeue().box)) { box =>
+        val (b1, b2) = box.split(widestDim(box)._1)
+        push(b1); push(b2)
       }
-      if (round.nonEmpty) {
-        val responses = conn.batch(round.toSeq.map(_.box.toQuery(base)))
-        round.toSeq.lazyZip(responses).foreach { (e, res) =>
-          consider(res.tuples)
-          if (!res.overflow) cacheResolved(e.box, res.tuples)
-          else if (widestDim(e.box)._2 <= MDBinary.Resolution) {
-            val ts = Crawler.crawlQuery(conn, e.box.toQuery(base))
-            cacheResolved(e.box, ts)
-            consider(ts)
-          } else {
-            val (b1, b2) = e.box.split(widestDim(e.box)._1)
-            push(b1); push(b2)
-          }
-        }
-      }
-    }
-    emit(best)
   }
 }
 
-object MDRerank {
-  /** Density threshold: a box narrower than this fraction of the domain in
-    * its widest dimension that still overflows is crawled (unconditioned)
-    * and indexed in the shared store.
-    */
-  val DenseEps: Double = 1e-2
-}
+/** MD-BINARY: branch-and-bound under [[DensePolicy.Unindexed]] — a box is
+  * crawled only at machine resolution, under the user filter.
+  */
+final class MDBinary(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: Normalizer)
+    extends MDBranchAndBound(conn, base, f, norm, DensePolicy.Unindexed)
 
-/** MD-RERANK — MD-BINARY plus the on-the-fly dense-region index: boxes
-  * contained in an already-indexed region resolve locally at zero cost, and
-  * boxes that are still overflowing below [[MDRerank.DenseEps]] width are
-  * crawled once *without* the user filter and indexed for every future
-  * session and user.
+/** MD-RERANK: branch-and-bound under [[DensePolicy.Indexed]] on `store` —
+  * the on-the-fly dense-region index: boxes contained in an indexed region
+  * resolve locally at zero cost, and a dense box is crawled once *without*
+  * the user filter and indexed for every future session and user.
   */
 final class MDRerank(
     conn: WebDbConn,
     base: WebQuery,
     f: LinearRanking,
     norm: Normalizer,
-    val store: DenseRegionStore = new DenseRegionStore,
-    maxPar: Int = MDAlgorithm.MaxPar,
-) extends MDAlgorithm(conn, base, f, norm, maxPar) {
-
-  private final case class Entry(ms: Double, serial: Long, box: Box)
-  private implicit val entryOrd: Ordering[Entry] =
-    Ordering.by((e: Entry) => (-e.ms, -e.serial))
-  private var serial = 0L
-
-  def getNext(): Option[WebTuple] = {
-    val pq = mutable.PriorityQueue.empty[Entry]
-    def push(b: Box): Unit =
-      if (!b.isEmpty && !exhaustedBelowContour(b)) {
-        serial += 1; pq.enqueue(Entry(minScoreOf(b), serial, b))
-      }
-    push(initialBox)
-
-    var best: Option[(Double, WebTuple)] = None
-    def bound: Double = best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
-    def consider(ts: Seq[WebTuple]): Unit =
-      candidates(ts).foreach(c => if (best.forall(b => better(c, b))) best = Some(c))
-
-    /** Local resolution: session cache, then the shared dense-region index. */
-    def local(box: Box): Option[Vector[WebTuple]] =
-      fromSessionCache(box).orElse(
-        store.lookupBox(box).map(_.filter(t => box.contains(t) && base.matches(t))))
-
-    while (pq.nonEmpty && pq.head.ms < bound) {
-      val round = mutable.Buffer.empty[Entry]
-      while (pq.nonEmpty && pq.head.ms < bound && round.size < maxPar) {
-        val e = pq.dequeue()
-        local(e.box) match {
-          case Some(ts) => consider(ts)
-          case None     => round += e
-        }
-      }
-      if (round.nonEmpty) {
-        val responses = conn.batch(round.toSeq.map(_.box.toQuery(base)))
-        round.toSeq.lazyZip(responses).foreach { (e, res) =>
-          consider(res.tuples)
-          if (!res.overflow) cacheResolved(e.box, res.tuples)
-          else if (widestDim(e.box)._2 <= MDRerank.DenseEps) {
-            // Dense box: crawl unconditioned, index for everyone, resolve.
-            val ts = Crawler.crawlQuery(conn, e.box.toQuery(WebQuery.all), Some(store))
-            store.add(e.box, ts)
-            consider(ts.filter(base.matches))
-          } else {
-            val (b1, b2) = e.box.split(widestDim(e.box)._1)
-            push(b1); push(b2)
-          }
-        }
-      }
-    }
-    emit(best)
-  }
-}
+    store: DenseRegionStore = new DenseRegionStore,
+) extends MDBranchAndBound(conn, base, f, norm, DensePolicy.Indexed(store))
 
 /** MD-BASELINE — "broad queries that cover the search space": query the
   * bounding box of the region of interest `{f < s*}`; every response either
@@ -239,54 +193,24 @@ final class MDRerank(
   * ranking is positively correlated with `f` (the first broad query already
   * surfaces a near-optimal tuple) and expensive otherwise.
   */
-final class MDBaseline(
-    conn: WebDbConn,
-    base: WebQuery,
-    f: LinearRanking,
-    norm: Normalizer,
-    maxPar: Int = MDAlgorithm.MaxPar,
-) extends MDAlgorithm(conn, base, f, norm, maxPar) {
+final class MDBaseline(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: Normalizer)
+    extends MDAlgorithm(conn, base, f, norm, DensePolicy.Unindexed) {
 
-  def getNext(): Option[WebTuple] = {
-    var best: Option[(Double, WebTuple)] = None
-    def sStar: Double = best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
-    def consider(ts: Seq[WebTuple]): Unit =
-      candidates(ts).foreach(c => if (best.forall(b => better(c, b))) best = Some(c))
-
+  protected def search(): Unit = {
     var work: Vector[Box] =
       Vector(initialBox).filterNot(b => b.isEmpty || exhaustedBelowContour(b))
     while (work.nonEmpty) {
-      val keep                  = mutable.Buffer.empty[Box]
-      val (roundBoxes, later)   = work.splitAt(maxPar)
-      keep ++= later
-      // Session-cache hits resolve for free; the rest go out in parallel.
-      val (cached, toQuery) = roundBoxes.partitionMap { b =>
-        fromSessionCache(b) match {
-          case Some(ts) => Left(ts)
-          case None     => Right(b)
-        }
-      }
-      cached.foreach(consider)
-      if (toQuery.nonEmpty) {
-        val responses = conn.batch(toQuery.map(_.toQuery(base)))
-        toQuery.lazyZip(responses).foreach { (box, res) =>
-          consider(res.tuples)
-          if (!res.overflow) cacheResolved(box, res.tuples)
-          else if (widestDim(box)._2 <= MDBinary.Resolution) {
-            val ts = Crawler.crawlQuery(conn, box.toQuery(base))
-            cacheResolved(box, ts)
-            consider(ts)
-          } else {
-            val clipped = RankContour.clip(f, box, sStar, norm)
-            if (clipped.isEmpty) () // nothing below the contour in this box
-            else if (RankContour.shrank(box, clipped)) keep += clipped
-            else {
-              val (b1, b2) = box.split(widestDim(box)._1)
-              keep ++= Seq(b1, b2)
-                .map(b => RankContour.clip(f, b, sStar, norm))
-                .filterNot(_.isEmpty)
-            }
-          }
+      val (now, later) = work.splitAt(WebDbConn.MaxPar)
+      val keep         = mutable.Buffer.from(later)
+      round(now.iterator) { box =>
+        val clipped = RankContour.clip(f, box, sStar, norm)
+        if (clipped.isEmpty) () // nothing below the contour in this box
+        else if (RankContour.shrank(box, clipped)) keep += clipped
+        else {
+          val (b1, b2) = box.split(widestDim(box)._1)
+          keep ++= Seq(b1, b2)
+            .map(b => RankContour.clip(f, b, sStar, norm))
+            .filterNot(_.isEmpty)
         }
       }
       // Re-clip the frontier against the tightened contour and drop boxes
@@ -297,6 +221,5 @@ final class MDBaseline(
         .filterNot(b => b.isEmpty || exhaustedBelowContour(b))
         .filter(b => minScoreOf(b) < sStar)
     }
-    emit(best)
   }
 }

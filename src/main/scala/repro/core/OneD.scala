@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.crawl.Crawler
 import repro.service.DenseRegionStore
 import repro.webdb._
 
@@ -13,7 +12,8 @@ import scala.collection.mutable
   * [[findNextKey]] locates the next distinct attribute value with at least
   * one matching tuple, and [[materializeGroup]] fetches the full value group
   * (via one top-k query, or — when more than system-k tuples share the value,
-  * the paper's *general positioning* problem — via the [[Crawler]]).
+  * the paper's *general positioning* problem — via the crawler, as the
+  * [[DensePolicy]] directs).
   *
   * All strategies search in key space (`κ = +A` ascending, `κ = −A`
   * descending) so one implementation serves both slider directions.
@@ -23,6 +23,7 @@ abstract class OneDAlgorithm(
     val base: WebQuery,
     val attr: String,
     val asc: Boolean,
+    policy: DensePolicy,
 ) extends GetNexter {
 
   protected val ks: KeySpace = KeySpace(attr, asc, conn.schema.numDomains(attr))
@@ -47,7 +48,7 @@ abstract class OneDAlgorithm(
         None
       case Some(kv) =>
         val v     = ks.raw(kv)
-        val group = materializeGroup(v).filter(base.matches).sortBy(_.id)
+        val group = materializeGroup(v).sortBy(_.id)
         require(group.nonEmpty, s"findNextKey returned key $kv with no matching tuple ($attr=$v)")
         pending ++= group
         frontier = Some(kv)
@@ -67,13 +68,16 @@ abstract class OneDAlgorithm(
   final def firstValue(): Option[Double] = findNextKey(None).map(ks.raw)
 
   /** All matching tuples with `attr = v`. Overflowing value groups are
-    * crawled — the QR2 fix for >k tuples sharing a value.
+    * crawled — the QR2 fix for >k tuples sharing a value. A value group is a
+    * dense region too: under [[DensePolicy.Indexed]] it resolves from the
+    * store when indexed, and is indexed when crawled.
     */
-  protected def materializeGroup(v: Double): Vector[WebTuple] = {
-    val gq  = base.and(attr, Interval.point(v))
-    val res = conn.topK(gq)
-    if (!res.overflow) res.tuples.toVector
-    else Crawler.crawlQuery(conn, gq)
+  private def materializeGroup(v: Double): Vector[WebTuple] = {
+    val group = Box(Map(attr -> Interval.point(v)))
+    policy.lookup(base, group).getOrElse {
+      val res = conn.topK(group.toQuery(base))
+      if (!res.overflow) res.tuples.toVector else policy.crawl(conn, base, group)
+    }
   }
 
   /** Exclusive lower search bound in key space: the frontier, or just below
@@ -86,8 +90,8 @@ abstract class OneDAlgorithm(
   protected final def domainWidth: Double = math.max(ks.keyDomain.width, 1e-12)
 
   /** Probe `base ∧ attr ∈ raw(kIv)` through the accounted connection. */
-  protected final def probe(kIv: Interval, crawl: Boolean = false): TopKResponse =
-    conn.topK(base.and(attr, ks.toRaw(kIv)), crawl)
+  protected final def probe(kIv: Interval): TopKResponse =
+    conn.topK(base.and(attr, ks.toRaw(kIv)))
 
   protected final def minKey(res: TopKResponse): Double =
     res.tuples.iterator.map(t => ks.key(t.num(attr))).min
@@ -100,7 +104,7 @@ abstract class OneDAlgorithm(
   * values); O(#distinct values) queries when anti-correlated.
   */
 final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean)
-    extends OneDAlgorithm(conn, base, attr, asc) {
+    extends OneDAlgorithm(conn, base, attr, asc, DensePolicy.Unindexed) {
 
   protected def findNextKey(frontierKey: Option[Double]): Option[Double] = {
     val lo                     = startKey(frontierKey)
@@ -121,75 +125,22 @@ final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boo
   }
 }
 
-object OneDBinary {
-  /** Fraction of the domain below which pure halving gives up and crawls
-    * (machine-resolution scale — the point of BINARY is that it pays many
-    * probes before getting here).
-    */
-  val Resolution: Double = 1e-7
-}
-
-/** 1D-BINARY — pure halving of the search interval: probe the left half;
-  * empty → move right, overflow → recurse left, else answer. Insensitive to
-  * the correlation between user and system ranking, but degrades badly in
-  * dense regions: it halves all the way down to [[OneDBinary.Resolution]]
-  * before falling back to a (counted, un-indexed) crawl.
-  */
-final class OneDBinary(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean)
-    extends OneDAlgorithm(conn, base, attr, asc) {
-
-  protected def findNextKey(frontierKey: Option[Double]): Option[Double] = {
-    var lo  = startKey(frontierKey)
-    var hi  = ks.keyDomain.hi
-    val full = Interval(lo, hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl)
-    if (full.isEmpty) return None
-    val first = probe(full)
-    if (first.isEmpty) return None
-    if (!first.overflow) return Some(minKey(first))
-    // Invariant: (lo, hi] contains at least one matching tuple.
-    while (true) {
-      if (hi - lo <= OneDBinary.Resolution * domainWidth) {
-        // Dense region: exhaustively crawl the remaining sliver (conditioned
-        // on the user filter; BINARY does not index what it crawls).
-        val ts = Crawler.crawlQuery(conn, base.and(attr, ks.toRaw(Interval.openClosed(lo, hi))))
-        return Some(ts.iterator.map(t => ks.key(t.num(attr))).min)
-      }
-      val mid = lo + (hi - lo) / 2
-      val res = probe(Interval.openClosed(lo, mid))
-      if (res.isEmpty) lo = mid
-      else if (!res.overflow) return Some(minKey(res))
-      else hi = mid
-    }
-    sys.error("unreachable")
-  }
-}
-
-object OneDRerank {
-  /** Density threshold: an interval narrower than this fraction of the
-    * domain that still overflows is declared dense, crawled once
-    * (unconditioned, so the result is reusable), and indexed.
-    */
-  val DenseEps: Double = 1e-3
-}
-
-/** 1D-RERANK — binary search augmented with
+/** 1D-BINARY and 1D-RERANK — one halving search of the key interval
+  * `(lo, hi]`: probe the left half; empty → move right, no overflow →
+  * answer, overflow → recurse left. The [[DensePolicy]] decides the rest:
   *
-  *  1. the *observed-min shortcut*: an overflowing probe still reveals its
-  *     smallest returned value, a known matching inclusive upper bound that
-  *     is at least as tight as the midpoint;
-  *  2. the *dense-region oracle*: below [[OneDRerank.DenseEps]] of the
-  *     domain the remaining interval is crawled unconditioned, indexed in
-  *     the shared [[DenseRegionStore]], and answered locally;
-  *  3. index reuse: a stored region covering the frontier serves get-nexts
-  *     (and lets the search skip the covered stretch) at zero web-DB cost.
+  *  - [[DensePolicy.Unindexed]] (BINARY) narrows an overflowing probe to
+  *    its midpoint, all the way down to machine resolution, and then crawls
+  *    the remaining sliver. Insensitive to the correlation between user and
+  *    system ranking, but it pays many probes in a dense region;
+  *  - [[DensePolicy.Indexed]] (RERANK) narrows to the smallest value an
+  *    overflowing probe returned (the observed-min shortcut), crawls and
+  *    indexes the sliver once it is narrower than the policy's give-up
+  *    width, and answers from — or skips past — indexed stretches at no
+  *    web-DB cost.
   */
-final class OneDRerank(
-    conn: WebDbConn,
-    base: WebQuery,
-    attr: String,
-    asc: Boolean,
-    val store: DenseRegionStore = new DenseRegionStore,
-) extends OneDAlgorithm(conn, base, attr, asc) {
+class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, policy: DensePolicy)
+    extends OneDAlgorithm(conn, base, attr, asc, policy) {
 
   protected def findNextKey(frontierKey: Option[Double]): Option[Double] = {
     var lo = startKey(frontierKey)
@@ -197,7 +148,7 @@ final class OneDRerank(
     // Index lookup: skip/answer over any contiguous indexed coverage.
     var covered = true
     while (covered) {
-      store.coverageFrom(attr, asc, lo) match {
+      policy.coverageFrom(attr, asc, lo) match {
         case Some((covEnd, covIncl, ts)) =>
           val cand = ts.iterator
             .filter(t => base.matches(t) && ks.key(t.num(attr)) > lo)
@@ -215,62 +166,48 @@ final class OneDRerank(
       }
     }
 
-    var hi = ks.keyDomain.hi
-    if (lo >= hi) return None
-    val first = probe(Interval(lo, hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl))
+    var hi   = ks.keyDomain.hi
+    val full = Interval(lo, hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl)
+    if (full.isEmpty) return None
+    val first = probe(full)
     if (first.isEmpty) return None
     if (!first.overflow) return Some(minKey(first))
-    hi = minKey(first) // observed-min shortcut; hi is a known matching value
-    // Invariant: (lo, hi] contains at least one matching tuple.
+    if (policy.observedMin) hi = minKey(first)
+    // Invariant: (lo, hi] contains at least one matching tuple — with the
+    // observed-min shortcut, `hi` itself is a matching key.
     while (true) {
-      if (hi - lo <= OneDRerank.DenseEps * domainWidth) {
-        // Cheap resolution attempt before declaring the sliver dense.
-        val open = Interval.open(lo, hi)
-        if (open.isEmpty) return Some(hi)
-        val res = probe(open)
-        if (res.isEmpty) return Some(hi)
-        if (!res.overflow) return Some(minKey(res))
-        return Some(crawlAndIndex(lo, minKey(res)))
-      } else {
-        val mid = lo + (hi - lo) / 2
-        val res = probe(Interval.openClosed(lo, mid))
-        if (res.isEmpty) lo = mid
-        else if (!res.overflow) return Some(minKey(res))
-        else hi = minKey(res)
+      if (hi - lo <= policy.width1D * domainWidth) {
+        if (policy.observedMin) {
+          // Cheap resolution attempt before declaring the sliver dense.
+          val open = Interval.open(lo, hi)
+          if (open.isEmpty) return Some(hi)
+          val res = probe(open)
+          if (res.isEmpty) return Some(hi)
+          if (!res.overflow) return Some(minKey(res))
+          hi = minKey(res)
+        }
+        val ts = policy.crawl(conn, base, Box(Map(attr -> ks.toRaw(policy.sliver(lo, hi)))))
+        return Some(ts.iterator.map(t => ks.key(t.num(attr))).filter(_ > lo).min)
       }
+      val mid = lo + (hi - lo) / 2
+      val res = probe(Interval.openClosed(lo, mid))
+      if (res.isEmpty) lo = mid
+      else if (!res.overflow) return Some(minKey(res))
+      else hi = if (policy.observedMin) minKey(res) else mid
     }
     sys.error("unreachable")
   }
-
-  /** Crawl the closed key interval `[lo, hi]` *without* the user filter,
-    * index it for every future session, and return the smallest matching
-    * key beyond `lo`.
-    */
-  private def crawlAndIndex(lo: Double, hi: Double): Double = {
-    val rawIv = ks.toRaw(Interval(lo, hi)) // closed — keeps coverage contiguous
-    val ts    = Crawler.crawlQuery(conn, WebQuery.all.and(attr, rawIv), Some(store))
-    store.add(Box(Map(attr -> rawIv)), ts)
-    ts.iterator
-      .filter(t => base.matches(t) && ks.key(t.num(attr)) > lo)
-      .map(t => ks.key(t.num(attr)))
-      .min // non-empty: the invariant guarantees a match in (lo, hi]
-  }
-
-  /** Value groups resolve from the index when available; crawled groups are
-    * crawled unconditioned and indexed (point regions are dense regions too).
-    */
-  override protected def materializeGroup(v: Double): Vector[WebTuple] = {
-    val pointBox = Box(Map(attr -> Interval.point(v)))
-    store.lookupBox(pointBox) match {
-      case Some(ts) => ts.filter(_.num(attr) == v)
-      case None =>
-        val res = conn.topK(base.and(attr, Interval.point(v)))
-        if (!res.overflow) res.tuples.toVector
-        else {
-          val all = Crawler.crawlQuery(conn, WebQuery.all.and(attr, Interval.point(v)), Some(store))
-          store.add(pointBox, all)
-          all
-        }
-    }
-  }
 }
+
+/** 1D-BINARY: the halving loop under [[DensePolicy.Unindexed]]. */
+final class OneDBinary(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean)
+    extends OneDHalving(conn, base, attr, asc, DensePolicy.Unindexed)
+
+/** 1D-RERANK: the halving loop under [[DensePolicy.Indexed]] on `store`. */
+final class OneDRerank(
+    conn: WebDbConn,
+    base: WebQuery,
+    attr: String,
+    asc: Boolean,
+    store: DenseRegionStore = new DenseRegionStore,
+) extends OneDHalving(conn, base, attr, asc, DensePolicy.Indexed(store))

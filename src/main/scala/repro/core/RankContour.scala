@@ -48,11 +48,11 @@ object RankContour {
   }
 
   /** True when `clipped` is meaningfully smaller than `box` in at least one
-    * dimension (≥ `minShrink` relative width reduction) — the progress test
-    * of MD-BASELINE's narrowing loop.
+    * dimension (≥ 1 % relative width reduction) — the progress test of
+    * MD-BASELINE's narrowing loop.
     */
-  def shrank(box: Box, clipped: Box, minShrink: Double = 0.01): Boolean =
+  def shrank(box: Box, clipped: Box): Boolean =
     box.dims.exists { case (a, iv) =>
-      iv.width > 0 && clipped.dims(a).width < iv.width * (1 - minShrink)
+      iv.width > 0 && clipped.dims(a).width < iv.width * 0.99
     }
 }

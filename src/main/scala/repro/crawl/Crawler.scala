@@ -35,15 +35,12 @@ import scala.collection.mutable
   * QR2 invokes the crawler for (a) the *general positioning* fix — more
   * than system-k tuples sharing one attribute value — and (b) dense-region
   * indexing in the RERANK algorithms. Pending sub-queries are independent:
-  * one frontier queue sends up to `maxPar` of them per parallel round,
+  * one frontier queue sends up to [[WebDbConn.MaxPar]] of them per parallel round,
   * contributing to the parallel-iteration counts of Fig 2. Given the shared
   * [[DenseRegionStore]], a sub-query lying inside an indexed region is
   * answered from the store and not sent.
   */
 object Crawler {
-
-  /** Default per-round parallelism (DESIGN.md §7). */
-  val DefaultMaxPar = 8
 
   /** Retrieve every tuple matching `q`. Queries, and the tuples
     * retrieved, are tagged as crawl traffic in the connection's accountant.
@@ -57,14 +54,13 @@ object Crawler {
       conn: WebDbConn,
       q: WebQuery,
       store: Option[DenseRegionStore] = None,
-      maxPar: Int = DefaultMaxPar,
   ): Vector[WebTuple] = {
     val schema   = conn.schema
     val out      = mutable.LinkedHashMap.empty[Long, WebTuple]
     val frontier = mutable.Queue(q)
     while (frontier.nonEmpty) {
       val round = mutable.Buffer.empty[WebQuery]
-      while (frontier.nonEmpty && round.size < maxPar) {
+      while (frontier.nonEmpty && round.size < WebDbConn.MaxPar) {
         val sub = frontier.dequeue()
         store.flatMap(_.lookupBox(Box(sub.num))) match {
           case Some(ts) => ts.iterator.filter(sub.matches).foreach(t => out.update(t.id, t))

@@ -49,8 +49,10 @@ object Algo {
 final class Qr2Service(
     val db: WebDb,
     val store: DenseRegionStore = new DenseRegionStore,
-    val latencyMsPerRound: Long = DbStats.DefaultLatencyMs,
 ) {
+
+  /** Simulated latency of one sequential round-trip to the web database. */
+  val latencyMsPerRound: Long = DbStats.DefaultLatencyMs
 
   /** Accountant for service-level bootstrap traffic (min/max discovery,
     * cache verification) — shared overhead, not billed to any session.

@@ -145,6 +145,13 @@ final class WebDbConn(
   }
 }
 
+object WebDbConn {
+  /** Per-round parallelism cap: the QR2 web service's request thread pool
+    * (DESIGN.md §7). Search rounds and crawl rounds both obey it.
+    */
+  val MaxPar = 8
+}
+
 /** Driver-side web database: the full table collected once, presorted by
   * (hidden system score, id). `rawTopK` is a linear scan in rank order with
   * early exit at k+1 matches — semantically identical to [[SparkWebDb]]

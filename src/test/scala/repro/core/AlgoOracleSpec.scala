@@ -56,6 +56,14 @@ class AlgoOracleSpec extends SparkSpec {
   check("MD-RERANK", c => new MDRerank(c, WebQuery.all, f2d, norm1d(f2d), new DenseRegionStore), f2d, 10)
   check("MD-TA", c => new MDTA(c, WebQuery.all, f2d, norm1d(f2d), new DenseRegionStore), f2d, 10)
 
+  test("oracle catches a wrong result") {
+    val wrong = diaDf.limit(5).select(col("id"))
+    val ex = intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(wrong, "SELECT CAST(id AS BIGINT) AS id FROM diamonds", "diamonds" -> diaDf)
+    }
+    assert(ex.getMessage.contains("result mismatch"))
+  }
+
   test("filtered session equals DuckDB with the same WHERE clause") {
     val base = WebQuery.all.andCat("cut", Set("Ideal"))
     val got  = new OneDRerank(new WebDbConn(db), base, "price", asc = true, new DenseRegionStore).next(8)
