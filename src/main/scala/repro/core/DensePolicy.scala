@@ -21,14 +21,12 @@ import repro.webdb._
   *                attribute's domain
   * @param widthMD give-up width of an MD box's widest dimension, relative to
   *                that dimension's domain
+  * @param observedMin 1D: narrow an overflowing probe to its smallest
+  *                returned key (RERANK's observed-min shortcut, a known
+  *                matching bound at least as tight as the midpoint) instead
+  *                of to the probe's own upper end
   */
-sealed abstract class DensePolicy(val width1D: Double, val widthMD: Double) {
-
-  /** 1D: narrow an overflowing probe to its smallest returned key (RERANK's
-    * observed-min shortcut, a known matching bound at least as tight as the
-    * midpoint) instead of to the probe's own upper end.
-    */
-  def observedMin: Boolean
+sealed abstract class DensePolicy(val width1D: Double, val widthMD: Double, val observedMin: Boolean) {
 
   /** Every tuple of `region` matching `base`, when known without a query. */
   def lookup(base: WebQuery, region: Box): Option[Vector[WebTuple]]
@@ -47,8 +45,7 @@ sealed abstract class DensePolicy(val width1D: Double, val widthMD: Double) {
 
 object DensePolicy {
 
-  case object Unindexed extends DensePolicy(width1D = 1e-7, widthMD = 1e-6) {
-    def observedMin: Boolean = false
+  case object Unindexed extends DensePolicy(width1D = 1e-7, widthMD = 1e-6, observedMin = false) {
     def lookup(base: WebQuery, region: Box): Option[Vector[WebTuple]] = None
     def coverageFrom(attr: String, asc: Boolean, lo: Double): Option[(Double, Boolean, Vector[WebTuple])] =
       None
@@ -57,8 +54,8 @@ object DensePolicy {
       Crawler.crawlQuery(conn, region.toQuery(base))
   }
 
-  final case class Indexed(store: DenseRegionStore) extends DensePolicy(width1D = 1e-3, widthMD = 1e-2) {
-    def observedMin: Boolean = true
+  final case class Indexed(store: DenseRegionStore)
+      extends DensePolicy(width1D = 1e-3, widthMD = 1e-2, observedMin = true) {
 
     def lookup(base: WebQuery, region: Box): Option[Vector[WebTuple]] =
       store.lookupBox(region).map(_.filter(t => region.contains(t) && base.matches(t)))

@@ -63,7 +63,7 @@ abstract class MDAlgorithm(
     * tuples — [[exhaustedBelowContour]] prunes such boxes without a query.
     * This is the lower rank-contour of the session's history.
     */
-  protected var lastEmittedScore: Double = Double.NegativeInfinity
+  private var lastEmittedScore: Double = Double.NegativeInfinity
 
   protected def exhaustedBelowContour(b: Box): Boolean =
     RankContour.maxScore(f, b, norm) < lastEmittedScore
@@ -158,6 +158,7 @@ class MDBranchAndBound(
       }
     def viable: Boolean = pq.nonEmpty && pq.head.ms < sStar
     push(initialBox)
+    // The iterator is lazy: each pop re-checks `s*` as local hits tighten it.
     while (viable)
       round(Iterator.continually(pq).takeWhile(_ => viable).map(_.dequeue().box)) { box =>
         val (b1, b2) = box.split(widestDim(box)._1)
