@@ -1,5 +1,6 @@
 package repro.webdb
 
+import repro.crawl.Crawler
 import repro.{SparkSpec, TestFixtures}
 
 import scala.util.Random
@@ -144,6 +145,23 @@ class WebDbSpec extends SparkSpec {
     val d = conn.acc.since(snap)
     assert(d.queries == 2 && d.rounds == 1 && d.parallelRounds == 1)
     assert(d.batchSizes == Vector(2))
+  }
+
+  test("accountant `since` reports a crawl's crawl queries and crawled tuples") {
+    val db   = TestFixtures.diamonds(spark)
+    val conn = new WebDbConn(db)
+    Crawler.crawlQuery(conn, WebQuery.all.and("price", Interval(200.0, 600.0)))
+    val snap = conn.acc.snapshot
+    val q    = WebQuery.all.and("price", Interval(600.0, 1000.0, loIncl = false))
+    val ts   = Crawler.crawlQuery(conn, q)
+    val d    = conn.acc.since(snap)
+    assert(ts.size > db.k, "premise: the region overflows")
+    assert(snap.crawlTuples > 0, "premise: an earlier crawl is subtracted")
+    val alone = new WebDbConn(db)
+    Crawler.crawlQuery(alone, q)
+    assert(d.crawlQueries == alone.acc.crawlQueries && d.crawlQueries == d.queries)
+    assert(d.crawlTuples == ts.size)
+    assert(d.queries == d.batchSizes.sum && d.rounds == d.batchSizes.size)
   }
 
   test("response tuples carry only public attributes (no hidden system score)") {
