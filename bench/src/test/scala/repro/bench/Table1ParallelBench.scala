@@ -14,14 +14,7 @@ class Table1ParallelBench extends SparkSpec {
   private lazy val rows = table1(spark)
 
   test("Table 1: print") {
-    println(render(
-      "Table 1 — parallel iterations, MD-RERANK on diamonds " +
-        "(paper Fig 2: 2D 44/45 ≈ 97.8% parallel iters, 3D > 90% of queries parallel)",
-      Seq("dims", "ranking", "rounds", "parallel rounds", "round %", "query %", CrawlHeader),
-      rows.map(r => Seq(r.dims.toString, r.ranking, r.rounds.toString,
-        r.parallelRounds.toString, pct(r.parallelRoundFrac), pct(r.parallelQueryFrac),
-        crawl(r.crawlQueries, r.crawlBound))),
-    ))
+    println(report1(rows))
   }
 
   test("shape: >90% of 3D queries travel in parallel batches (paper's Fig 2a claim)") {

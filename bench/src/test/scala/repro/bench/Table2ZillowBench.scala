@@ -16,16 +16,7 @@ class Table2ZillowBench extends SparkSpec {
   private lazy val viaSpark = table2(spark, sf = 0.01, useSparkBackend = true)
 
   test("Table 2: print") {
-    println(render(
-      "Table 2 — Zillow price − 0.3·sqft, MD-RERANK top-10 (paper: 27 queries, 33 s)",
-      Seq("backend", "sf", "queries", "rounds", "simulated s", CrawlHeader),
-      Seq(
-        Seq(local.backend, benchSf.toString, local.queries.toString,
-          local.rounds.toString, f"${local.simulatedSec}%.1f", crawl(local.crawlQueries, local.crawlBound)),
-        Seq(viaSpark.backend, "0.01", viaSpark.queries.toString,
-          viaSpark.rounds.toString, f"${viaSpark.simulatedSec}%.1f", crawl(viaSpark.crawlQueries, viaSpark.crawlBound)),
-      ),
-    ))
+    println(report2(Seq(local, viaSpark)))
   }
 
   test("shape: cost is tens of queries, same order of magnitude as the paper's 27") {

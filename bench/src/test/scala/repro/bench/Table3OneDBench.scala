@@ -20,11 +20,7 @@ class Table3OneDBench extends SparkSpec {
     rows.find(r => r.scenario.startsWith(scenario) && r.algo == algo).get.queries
 
   test("Table 3: print") {
-    println(render(
-      "Table 3 — 1D top-10 query cost by correlation scenario",
-      Seq("scenario", "algo", "queries", CrawlHeader),
-      rows.map(r => Seq(r.scenario, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
-    ))
+    println(report3(rows))
   }
 
   test("shape: BASELINE cheap when positively correlated, ≫ when anti-correlated") {

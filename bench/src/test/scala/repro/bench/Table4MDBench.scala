@@ -16,11 +16,7 @@ class Table4MDBench extends SparkSpec {
     rows.find(r => r.ranking.startsWith(ranking) && r.algo == algo).get.queries
 
   test("Table 4: print") {
-    println(render(
-      "Table 4 — MD top-10 query cost by ranking function",
-      Seq("ranking", "algo", "queries", CrawlHeader),
-      rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
-    ))
+    println(report4(rows))
   }
 
   test("shape: every strategy discovers the page (positive cost everywhere)") {

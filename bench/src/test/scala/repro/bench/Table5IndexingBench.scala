@@ -15,17 +15,7 @@ class Table5IndexingBench extends SparkSpec {
   private lazy val rows = table5(spark)
 
   test("Table 5: print") {
-    println(render(
-      "Table 5 — per-session top-10 cost on the dense attribute (shared service)",
-      Seq("session", "filter", "BINARY queries", "RERANK queries", s"BINARY $CrawlHeader", s"RERANK $CrawlHeader"),
-      rows.map(r => Seq(r.session.toString, r.filter,
-        r.binaryQueries.toString, r.rerankQueries.toString,
-        crawl(r.binaryCrawl, r.binaryCrawlBound), crawl(r.rerankCrawl, r.rerankCrawlBound))) :+
-        Seq("total", "", rows.map(_.binaryQueries).sum.toString,
-          rows.map(_.rerankQueries).sum.toString,
-          crawl(rows.map(_.binaryCrawl).sum, rows.map(_.binaryCrawlBound).sum),
-          crawl(rows.map(_.rerankCrawl).sum, rows.map(_.rerankCrawlBound).sum)),
-    ))
+    println(report5(rows))
   }
 
   test("shape: after the first session, RERANK sessions are nearly free") {

@@ -18,12 +18,7 @@ class Table6BestWorstBench extends SparkSpec {
   private def row(prefix: String) = rows.find(_.scenario.startsWith(prefix)).get
 
   test("Table 6: print") {
-    println(render(
-      "Table 6 — best vs worst cases (MD/1D-RERANK, top-10, run2 = second session on the same service)",
-      Seq("scenario", "run1 queries", s"run1 $CrawlHeader", "run1 sim s", "run2 queries"),
-      rows.map(r => Seq(r.scenario, r.run1Queries.toString, crawl(r.run1CrawlQueries, r.run1CrawlBound),
-        f"${r.run1SimSec}%.1f", r.run2Queries.toString)),
-    ))
+    println(report6(rows))
   }
 
   test("shape: the 1D worst case is dominated by crawl traffic") {

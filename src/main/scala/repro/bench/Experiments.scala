@@ -4,9 +4,11 @@ import org.apache.spark.sql.SparkSession
 import repro.service._
 import repro.webdb._
 
-/** One function per evaluation table of the paper (DESIGN.md §4). Bench
-  * suites (bench/) print paper-vs-measured rows and assert the qualitative
-  * shape; jobs/ wraps each function as a spark-submit entrypoint.
+/** Two functions per evaluation table of the paper (DESIGN.md §4):
+  * `tableN` measures the rows and `reportN` renders them as the printed
+  * table. Bench suites (bench/) print the report and assert the
+  * qualitative shape on the rows; jobs/ prints the same report as a
+  * spark-submit entrypoint.
   *
   * All experiments run against the driver-backed [[LocalWebDb]] simulator —
   * the cost metric (#queries to the web database) is backend-independent,
@@ -21,6 +23,13 @@ object Experiments {
 
   /** Smaller SF for the quadratic-ish anti-correlated baseline sweeps. */
   def benchSfSmall: Double = benchSf / 2
+
+  /** Cost of one user's first page: a new session on `service` → top-10. */
+  def page(service: Qr2Service, base: WebQuery, spec: RankSpec, algo: Algo): DbStats = {
+    val session = service.newSession(base, spec, algo)
+    session.getPage(10)
+    session.stats
+  }
 
   // -------------------------------------------------------------------
   // Table 1 — Fig 2: parallel-processed iterations (Blue Nile, 2D & 3D)
@@ -48,14 +57,20 @@ object Experiments {
       (3, "price - 0.1*carat - 0.5*depth",
         MDRank(Seq("price" -> 1.0, "carat" -> -0.1, "depth" -> -0.5))),
     ).map { case (d, label, rank) =>
-      val service = new Qr2Service(db)
-      val session = service.newSession(WebQuery.all, rank, Algo.Rerank)
-      session.getPage(10)
-      val s = session.stats
+      val s = page(new Qr2Service(db), WebQuery.all, rank, Algo.Rerank)
       T1Row(d, label, s.rounds, s.parallelRounds, s.parallelFraction, s.parallelQueryFraction,
         s.crawlQueries, s.crawlLowerBound(db.k))
     }
   }
+
+  def report1(rows: Seq[T1Row]): String = render(
+    "Table 1 — parallel iterations, MD-RERANK on diamonds " +
+      "(paper Fig 2: 2D 44/45 ≈ 97.8% parallel iters, 3D > 90% of queries parallel)",
+    Seq("dims", "ranking", "rounds", "parallel rounds", "round %", "query %", CrawlHeader),
+    rows.map(r => Seq(r.dims.toString, r.ranking, r.rounds.toString,
+      r.parallelRounds.toString, pct(r.parallelRoundFrac), pct(r.parallelQueryFrac),
+      crawl(r.crawlQueries, r.crawlBound))),
+  )
 
   // -------------------------------------------------------------------
   // Table 2 — §II-C inline statistic: 27 queries / 33 s on Zillow
@@ -63,6 +78,7 @@ object Experiments {
 
   final case class T2Row(
       backend: String,
+      sf: Double,
       queries: Long,
       rounds: Long,
       simulatedSec: Double,
@@ -79,14 +95,17 @@ object Experiments {
     val db: WebDb =
       if (useSparkBackend) WebData.housesSpark(spark, sf)
       else WebData.housesLocal(spark, sf)
-    val service = new Qr2Service(db)
-    val session =
-      service.newSession(WebQuery.all, MDRank(Seq("price" -> 1.0, "sqft" -> -0.3)), Algo.Rerank)
-    session.getPage(10)
-    val s = session.stats
-    T2Row(if (useSparkBackend) "spark" else "local", s.queries, s.rounds, s.simulatedMs() / 1000.0,
+    val s = page(new Qr2Service(db), WebQuery.all, MDRank(Seq("price" -> 1.0, "sqft" -> -0.3)), Algo.Rerank)
+    T2Row(if (useSparkBackend) "spark" else "local", sf, s.queries, s.rounds, s.simulatedMs() / 1000.0,
       s.crawlQueries, s.crawlLowerBound(db.k))
   }
+
+  def report2(rows: Seq[T2Row]): String = render(
+    "Table 2 — Zillow price − 0.3·sqft, MD-RERANK top-10 (paper: 27 queries, 33 s)",
+    Seq("backend", "sf", "queries", "rounds", "simulated s", CrawlHeader),
+    rows.map(r => Seq(r.backend, r.sf.toString, r.queries.toString, r.rounds.toString,
+      f"${r.simulatedSec}%.1f", crawl(r.crawlQueries, r.crawlBound))),
+  )
 
   // -------------------------------------------------------------------
   // Table 3 — §III-B "1D" scenario: correlation with the system ranking
@@ -118,13 +137,16 @@ object Experiments {
       (label, rank)     <- scenarios
       (algoName, algo)  <- algos
     } yield {
-      val service = new Qr2Service(db)
-      val session = service.newSession(WebQuery.all, rank, algo)
-      session.getPage(10)
-      val s = session.stats
+      val s = page(new Qr2Service(db), WebQuery.all, rank, algo)
       T3Row(label, algoName, s.queries, s.crawlQueries, s.crawlLowerBound(db.k))
     }
   }
+
+  def report3(rows: Seq[T3Row]): String = render(
+    "Table 3 — 1D top-10 query cost by correlation scenario",
+    Seq("scenario", "algo", "queries", CrawlHeader),
+    rows.map(r => Seq(r.scenario, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
+  )
 
   // -------------------------------------------------------------------
   // Table 4 — §III-B "MD" scenario: weight combinations × dimensionality
@@ -151,13 +173,16 @@ object Experiments {
       (label, rank)    <- rankings
       (algoName, algo) <- algos
     } yield {
-      val service = new Qr2Service(db)
-      val session = service.newSession(WebQuery.all, rank, algo)
-      session.getPage(10)
-      val s = session.stats
+      val s = page(new Qr2Service(db), WebQuery.all, rank, algo)
       T4Row(label, algoName, s.queries, s.crawlQueries, s.crawlLowerBound(db.k))
     }
   }
+
+  def report4(rows: Seq[T4Row]): String = render(
+    "Table 4 — MD top-10 query cost by ranking function",
+    Seq("ranking", "algo", "queries", CrawlHeader),
+    rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
+  )
 
   // -------------------------------------------------------------------
   // Table 5 — §III-B "On-the-fly indexing": amortization across sessions
@@ -187,15 +212,24 @@ object Experiments {
     val binaryService = new Qr2Service(db)
     val rerankService = new Qr2Service(db)
     filters.take(10).zipWithIndex.map { case ((label, q), i) =>
-      val bs = binaryService.newSession(q, OneDRank("lwr", asc = true), Algo.Binary)
-      bs.getPage(10)
-      val rs = rerankService.newSession(q, OneDRank("lwr", asc = true), Algo.Rerank)
-      rs.getPage(10)
-      val (b, r) = (bs.stats, rs.stats)
+      val b = page(binaryService, q, OneDRank("lwr", asc = true), Algo.Binary)
+      val r = page(rerankService, q, OneDRank("lwr", asc = true), Algo.Rerank)
       T5Row(i + 1, label, b.queries, r.queries,
         b.crawlQueries, b.crawlLowerBound(db.k), r.crawlQueries, r.crawlLowerBound(db.k))
     }
   }
+
+  def report5(rows: Seq[T5Row]): String = render(
+    "Table 5 — per-session top-10 cost on the dense attribute (shared service)",
+    Seq("session", "filter", "BINARY queries", "RERANK queries", s"BINARY $CrawlHeader", s"RERANK $CrawlHeader"),
+    rows.map(r => Seq(r.session.toString, r.filter,
+      r.binaryQueries.toString, r.rerankQueries.toString,
+      crawl(r.binaryCrawl, r.binaryCrawlBound), crawl(r.rerankCrawl, r.rerankCrawlBound))) :+
+      Seq("total", "", rows.map(_.binaryQueries).sum.toString,
+        rows.map(_.rerankQueries).sum.toString,
+        crawl(rows.map(_.binaryCrawl).sum, rows.map(_.binaryCrawlBound).sum),
+        crawl(rows.map(_.rerankCrawl).sum, rows.map(_.rerankCrawlBound).sum)),
+  )
 
   // -------------------------------------------------------------------
   // Table 6 — §III-B "Best vs worst cases"
@@ -222,12 +256,9 @@ object Experiments {
 
     def run(db: WebDb, spec: RankSpec, filters: (WebQuery, WebQuery), label: String): T6Row = {
       val service = new Qr2Service(db)
-      val s1      = service.newSession(filters._1, spec, Algo.Rerank)
-      s1.getPage(10)
-      val st1 = s1.stats
-      val s2  = service.newSession(filters._2, spec, Algo.Rerank)
-      s2.getPage(10)
-      T6Row(label, st1.queries, st1.crawlQueries, st1.simulatedMs() / 1000.0, s2.stats.queries,
+      val st1     = page(service, filters._1, spec, Algo.Rerank)
+      val st2     = page(service, filters._2, spec, Algo.Rerank)
+      T6Row(label, st1.queries, st1.crawlQueries, st1.simulatedMs() / 1000.0, st2.queries,
         st1.crawlLowerBound(db.k))
     }
 
@@ -253,12 +284,19 @@ object Experiments {
     )
   }
 
+  def report6(rows: Seq[T6Row]): String = render(
+    "Table 6 — best vs worst cases (MD/1D-RERANK, top-10, run2 = second session on the same service)",
+    Seq("scenario", "run1 queries", s"run1 $CrawlHeader", "run1 sim s", "run2 queries"),
+    rows.map(r => Seq(r.scenario, r.run1Queries.toString, crawl(r.run1CrawlQueries, r.run1CrawlBound),
+      f"${r.run1SimSec}%.1f", r.run2Queries.toString)),
+  )
+
   // -------------------------------------------------------------------
   // Rendering
   // -------------------------------------------------------------------
 
-  /** Fixed-width table rendering for bench output and job stdout. */
-  def render(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
+  /** Fixed-width table rendering: title, header, separator, rows. */
+  private def render(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all    = header +: rows
     val widths = header.indices.map(i => all.map(_(i).length).max)
     def fmt(r: Seq[String]) =
@@ -270,6 +308,6 @@ object Experiments {
   def pct(x: Double): String = f"${x * 100}%.1f%%"
 
   /** Column header and cell for crawl queries next to their ⌈n/k⌉ bound. */
-  val CrawlHeader = "crawl / ⌈n/k⌉"
-  def crawl(queries: Long, bound: Long): String = s"$queries / $bound"
+  private val CrawlHeader = "crawl / ⌈n/k⌉"
+  private def crawl(queries: Long, bound: Long): String = s"$queries / $bound"
 }

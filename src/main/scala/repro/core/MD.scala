@@ -26,7 +26,7 @@ abstract class MDAlgorithm(
 ) extends GetNexter {
 
   /** Ids already returned to the user. */
-  val emitted: mutable.LinkedHashSet[Long] = mutable.LinkedHashSet.empty
+  private val emitted: mutable.LinkedHashSet[Long] = mutable.LinkedHashSet.empty
 
   /** Search box: the advertised domains of the ranking attributes clipped
     * by any numeric constraint of the user filter on those attributes.

@@ -25,7 +25,7 @@ final class MDTA(
     val store: DenseRegionStore = new DenseRegionStore,
 ) extends GetNexter {
 
-  val emitted: mutable.LinkedHashSet[Long] = mutable.LinkedHashSet.empty
+  private val emitted: mutable.LinkedHashSet[Long] = mutable.LinkedHashSet.empty
 
   private final class Access(val attr: String, val w: Double) {
     val it = new OneDRerank(conn, base, attr, asc = w > 0, store)

@@ -28,19 +28,12 @@ abstract class OneDAlgorithm(
 
   protected val ks: KeySpace = KeySpace(attr, asc, conn.schema.numDomains(attr))
 
-  /** Ids already returned to the user (the session's "seen" cache). */
-  val emitted: mutable.LinkedHashSet[Long] = mutable.LinkedHashSet.empty
-
   private val pending            = mutable.Queue.empty[WebTuple]
   private var frontier: Option[Double] = None // key of the current value group
   private var exhausted          = false
 
   final def getNext(): Option[WebTuple] = {
-    if (pending.nonEmpty) {
-      val t = pending.dequeue()
-      emitted += t.id
-      return Some(t)
-    }
+    if (pending.nonEmpty) return Some(pending.dequeue())
     if (exhausted) return None
     findNextKey(frontier) match {
       case None =>

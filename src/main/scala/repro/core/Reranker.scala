@@ -21,7 +21,7 @@ import repro.webdb.{WebSchema, WebTuple}
   */
 object Reranker {
 
-  /** Default name of the appended score column. */
+  /** Name of the appended score column. */
   val ScoreCol = "qr2_score"
 
   /** Column computing `Σ wᵢ·(Aᵢ−minᵢ)/(maxᵢ−minᵢ)`, left-associated like
@@ -44,10 +44,9 @@ object Reranker {
       f: LinearRanking,
       norm: Normalizer,
       idCol: String = "id",
-      scoreName: String = ScoreCol,
   ): DataFrame =
-    df.withColumn(scoreName, scoreColumn(f, norm))
-      .orderBy(col(scoreName).asc, col(idCol).asc)
+    df.withColumn(ScoreCol, scoreColumn(f, norm))
+      .orderBy(col(ScoreCol).asc, col(idCol).asc)
 
   /** Top-h of the re-ranked result set (one user page). */
   def topH(
@@ -75,10 +74,9 @@ object Reranker {
       f: LinearRanking,
       norm: Normalizer,
       idCol: String = "id",
-      scoreName: String = ScoreCol,
   ): DataFrame =
-    df.selectExpr("*", s"${sqlScoreExpr(f, norm)} AS $scoreName")
-      .orderBy(col(scoreName).asc, col(idCol).asc)
+    df.selectExpr("*", s"${sqlScoreExpr(f, norm)} AS $ScoreCol")
+      .orderBy(col(ScoreCol).asc, col(idCol).asc)
 
   /** Register the `qr2_score` function and inject the simplification rule.
     * Idempotent; safe to call once per session.

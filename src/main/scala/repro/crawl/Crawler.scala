@@ -75,7 +75,7 @@ object Crawler {
         }
       }
     }
-    conn.acc.crawlTuples += out.size
+    conn.crawled(out.size)
     out.values.toVector
   }
 

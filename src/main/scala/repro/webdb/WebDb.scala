@@ -18,7 +18,13 @@ trait WebDb {
   private[webdb] def rawTopK(q: WebQuery): TopKResponse
 }
 
-/** Mutable request accountant — the paper's cost model.
+/** One billed round-trip to the web database: the number of queries it
+  * carried, and whether the crawler sent them.
+  */
+final case class BilledRound(queries: Int, crawl: Boolean)
+
+/** The request counts of the paper's cost model, all derived from a log of
+  * billed rounds.
   *
   * `queries` is the number of search requests sent to the web database (the
   * metric every table reports). `rounds` is the number of sequential
@@ -29,41 +35,41 @@ trait WebDb {
   * `crawlTuples` counts the tuples those crawls returned, which gives the
   * ⌈n/k⌉ lower bound on their cost.
   */
-final class Accountant {
-  var queries: Long       = 0L
-  var rounds: Long        = 0L
-  var parallelRounds: Long = 0L
-  var crawlQueries: Long  = 0L
-  var crawlTuples: Long   = 0L
-  val batchSizes: mutable.Buffer[Int] = mutable.Buffer.empty
+sealed trait RoundLog {
+  protected def log: collection.IndexedSeq[BilledRound]
+  def crawlTuples: Long
 
-  def snapshot: DbStats =
-    DbStats(queries, rounds, parallelRounds, crawlQueries, batchSizes.toVector, crawlTuples)
+  def batchSizes: Vector[Int] = log.iterator.map(_.queries).toVector
+  def queries: Long           = log.iterator.map(_.queries.toLong).sum
+  def rounds: Long            = log.size.toLong
+  def parallelRounds: Long    = log.count(_.queries > 1).toLong
+  def crawlQueries: Long      = log.iterator.filter(_.crawl).map(_.queries.toLong).sum
+}
 
-  /** Difference accountant-style stats between two snapshots. */
+/** Request accountant: the log of the rounds a connection billed, appended
+  * to only by [[WebDbConn]], plus the tuples its crawls retrieved.
+  */
+final class Accountant extends RoundLog {
+  protected val log  = mutable.ArrayBuffer.empty[BilledRound]
+  private val crawls = mutable.ArrayBuffer.empty[Int] // tuples retrieved by each crawl
+
+  def crawlTuples: Long = crawls.iterator.map(_.toLong).sum
+
+  private[webdb] def bill(round: BilledRound): Unit = log += round
+  private[webdb] def crawled(tuples: Int): Unit     = crawls += tuples
+
+  def snapshot: DbStats = DbStats(log.toVector, crawlTuples)
+
+  /** The rounds billed and the tuples crawled after snapshot `prev`. */
   def since(prev: DbStats): DbStats =
-    DbStats(
-      queries - prev.queries,
-      rounds - prev.rounds,
-      parallelRounds - prev.parallelRounds,
-      crawlQueries - prev.crawlQueries,
-      batchSizes.toVector.drop(prev.batchSizes.size),
-      crawlTuples - prev.crawlTuples,
-    )
+    DbStats(log.view.drop(prev.log.size).toVector, crawlTuples - prev.crawlTuples)
 }
 
 /** Immutable snapshot of an [[Accountant]]. `simulatedMs` converts rounds
   * to wall-clock using the per-round-trip latency calibrated in DESIGN.md
   * §5 (the paper's 27 queries / 33 s Zillow data point → ~1.2 s).
   */
-final case class DbStats(
-    queries: Long,
-    rounds: Long,
-    parallelRounds: Long,
-    crawlQueries: Long,
-    batchSizes: Vector[Int],
-    crawlTuples: Long = 0L,
-) {
+final case class DbStats(log: Vector[BilledRound], crawlTuples: Long) extends RoundLog {
   /** ⌈n/k⌉ for the n tuples crawled: the fewest top-k queries that could
     * have retrieved them.
     */
@@ -85,7 +91,7 @@ final case class DbStats(
 object DbStats {
   /** Per-round-trip latency of the real web databases (DESIGN.md §5). */
   val DefaultLatencyMs: Long = 1200L
-  val empty: DbStats = DbStats(0, 0, 0, 0, Vector.empty)
+  val empty: DbStats = DbStats(Vector.empty, 0L)
 }
 
 /** Accounted connection to a web database. All algorithm code talks to the
@@ -125,24 +131,21 @@ final class WebDbConn(
   def batch(qs: Seq[WebQuery], crawl: Boolean = false): Seq[TopKResponse] = {
     require(qs.nonEmpty, "empty batch")
     if (!memoize) {
-      record(qs.size, crawl)
+      acc.bill(BilledRound(qs.size, crawl))
       return qs.map(db.rawTopK)
     }
     val misses = qs.distinct.filterNot(memo.contains)
     if (misses.nonEmpty) {
-      record(misses.size, crawl)
+      acc.bill(BilledRound(misses.size, crawl))
       misses.foreach(q => memo.update(q, db.rawTopK(q)))
     }
     qs.map(memo)
   }
 
-  private def record(n: Int, crawl: Boolean): Unit = {
-    acc.rounds += 1
-    if (n > 1) acc.parallelRounds += 1
-    acc.queries += n
-    if (crawl) acc.crawlQueries += n
-    acc.batchSizes += n
-  }
+  /** Record that a crawl through this connection retrieved `tuples`
+    * distinct tuples.
+    */
+  def crawled(tuples: Int): Unit = acc.crawled(tuples)
 }
 
 object WebDbConn {
@@ -183,18 +186,14 @@ final class LocalWebDb(
 
 object LocalWebDb {
 
-  /** Build from a generated DataFrame carrying a hidden `sysCol` score.
-    * Rank order is (sysCol asc, id asc) — ties in the hidden score resolve
-    * deterministically so both backends return identical pages.
+  /** Build from a generated DataFrame carrying the hidden
+    * [[WebData.SysScoreCol]] score. Rank order is (hidden score asc, id asc)
+    * — ties in the hidden score resolve deterministically so both backends
+    * return identical pages.
     */
-  def fromDataFrame(
-      df: DataFrame,
-      schema: WebSchema,
-      k: Int,
-      sysCol: String = WebData.SysScoreCol,
-  ): LocalWebDb = {
+  def fromDataFrame(df: DataFrame, schema: WebSchema, k: Int): LocalWebDb = {
     val rows = df
-      .orderBy(col(sysCol).asc, col(schema.idCol).asc)
+      .orderBy(col(WebData.SysScoreCol).asc, col(schema.idCol).asc)
       .collect()
       .toVector
     new LocalWebDb(rows.map(r => SparkWebDb.rowToTuple(r, schema)), schema, k)
@@ -206,12 +205,7 @@ object LocalWebDb {
   * cached table. This is the "real" substrate — the whole simulated web
   * site is a Spark query.
   */
-final class SparkWebDb(
-    df: DataFrame,
-    val schema: WebSchema,
-    val k: Int,
-    sysCol: String = WebData.SysScoreCol,
-) extends WebDb {
+final class SparkWebDb(df: DataFrame, val schema: WebSchema, val k: Int) extends WebDb {
 
   private val cached: DataFrame = df.cache()
 
@@ -219,7 +213,7 @@ final class SparkWebDb(
     if (q.unsatisfiable) return TopKResponse(Vector.empty, overflow = false)
     val rows = cached
       .filter(SparkWebDb.queryToColumn(q))
-      .orderBy(col(sysCol).asc, col(schema.idCol).asc)
+      .orderBy(col(WebData.SysScoreCol).asc, col(schema.idCol).asc)
       .limit(k + 1)
       .collect()
     TopKResponse(rows.take(k).toVector.map(r => SparkWebDb.rowToTuple(r, schema)), rows.length > k)
