@@ -90,6 +90,28 @@ class DenseRegionStoreSpec extends SparkSpec {
     assert(loaded.lookupBox(box).get.sortBy(_.id) == orig)
   }
 
+  test("persist/load keeps region order, open bounds and empty regions") {
+    val db    = TestFixtures.diamonds(spark, 0.002)
+    val open  = Box(Map("price" -> Interval.openClosed(200.0, 500.0)))
+    val wide  = Box(Map("price" -> Interval(200.0, 1000.0)))
+    val empty = Box(Map("carat" -> Interval(9.0, 9.5)))
+    val s     = new DenseRegionStore
+    s.add(open, db.allTuples.filter(open.contains))
+    s.add(wide, db.allTuples.filter(wide.contains))
+    s.add(empty, Seq.empty)
+    val dir = Files.createTempDirectory("qr2-store-order").toString
+    s.persist(spark, db.schema, dir)
+    val loaded = DenseRegionStore.load(spark, db.schema, dir)
+    assert(loaded.allEntries.map(_.box) == Vector(open, wide, empty))
+    def ids(b: Box): Option[Vector[Long]] = loaded.lookupBox(b).map(_.map(_.id).sorted)
+    assert(ids(Box(Map("price" -> Interval(300.0, 400.0)))) ==
+      Some(db.allTuples.filter(open.contains).map(_.id).sorted), "answered by the first region")
+    assert(ids(Box(Map("price" -> Interval(200.0, 400.0)))) ==
+      Some(db.allTuples.filter(wide.contains).map(_.id).sorted),
+      "200 lies outside the open first region, so the second answers")
+    assert(loaded.lookupBox(Box(Map("carat" -> Interval(9.1, 9.2)))) == Some(Vector.empty))
+  }
+
   test("toDataFrame deduplicates tuples shared by several regions") {
     val db = TestFixtures.diamonds(spark, 0.002)
     val s  = new DenseRegionStore
