@@ -96,7 +96,7 @@ object Experiments {
       if (useSparkBackend) WebData.housesSpark(spark, sf)
       else WebData.housesLocal(spark, sf)
     val s = page(new Qr2Service(db), WebQuery.all, MDRank(Seq("price" -> 1.0, "sqft" -> -0.3)), Algo.Rerank)
-    T2Row(if (useSparkBackend) "spark" else "local", sf, s.queries, s.rounds, s.simulatedMs() / 1000.0,
+    T2Row(if (useSparkBackend) "spark" else "local", sf, s.queries, s.rounds, s.simulatedMs / 1000.0,
       s.crawlQueries, s.crawlLowerBound(db.k))
   }
 
@@ -258,7 +258,7 @@ object Experiments {
       val service = new Qr2Service(db)
       val st1     = page(service, filters._1, spec, Algo.Rerank)
       val st2     = page(service, filters._2, spec, Algo.Rerank)
-      T6Row(label, st1.queries, st1.crawlQueries, st1.simulatedMs() / 1000.0, st2.queries,
+      T6Row(label, st1.queries, st1.crawlQueries, st1.simulatedMs / 1000.0, st2.queries,
         st1.crawlLowerBound(db.k))
     }
 

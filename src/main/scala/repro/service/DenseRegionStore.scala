@@ -1,8 +1,7 @@
 package repro.service
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
-import repro.webdb.{Box, Interval, WebSchema, WebTuple}
+import org.apache.spark.sql.SparkSession
+import repro.webdb.{Box, Interval, WebTuple}
 
 import scala.collection.mutable
 
@@ -25,9 +24,7 @@ import scala.collection.mutable
   * are synchronized (QR2 is a multi-user service).
   */
 final class DenseRegionStore {
-
-  /** A fully-crawled region and its complete tuple content. */
-  final case class Entry(box: Box, tuples: Vector[WebTuple])
+  import DenseRegionStore.Entry
 
   private val entries = mutable.Buffer.empty[Entry]
 
@@ -85,77 +82,27 @@ final class DenseRegionStore {
   // ("before the system boots up we verify the cache", §II-B).
   // ---------------------------------------------------------------------
 
-  /** Persist the store as two Parquet datasets under `path`. */
-  def persist(spark: SparkSession, schema: WebSchema, path: String): Unit = synchronized {
-    val regionRows = entries.toVector.zipWithIndex.flatMap { case (e, i) =>
-      e.box.dims.toSeq.map { case (a, iv) =>
-        Row(i, a, iv.lo, iv.hi, iv.loIncl, iv.hiIncl)
-      }
-    }
-    val regionSchema = StructType(Seq(
-      StructField("region", IntegerType, nullable = false),
-      StructField("attr", StringType, nullable = false),
-      StructField("lo", DoubleType, nullable = false),
-      StructField("hi", DoubleType, nullable = false),
-      StructField("lo_incl", BooleanType, nullable = false),
-      StructField("hi_incl", BooleanType, nullable = false),
-    ))
-    val tupleRows = entries.toVector.zipWithIndex.flatMap { case (e, i) =>
-      e.tuples.map { t =>
-        // Seq[Any] prevents Int→Long numeric widening of the region id.
-        Row.fromSeq(
-          Seq[Any](i, t.id) ++ schema.numeric.map(t.num) ++ schema.categorical.map(t.cat))
-      }
-    }
-    val tupleSchema = StructType(
-      Seq(
-        StructField("region", IntegerType, nullable = false),
-        StructField("id", LongType, nullable = false),
-      ) ++ schema.numeric.map(StructField(_, DoubleType, nullable = false))
-        ++ schema.categorical.map(StructField(_, StringType, nullable = false)))
-    spark.createDataFrame(spark.sparkContext.parallelize(regionRows, 1), regionSchema)
-      .write.mode("overwrite").parquet(s"$path/regions")
-    spark.createDataFrame(spark.sparkContext.parallelize(tupleRows, 1), tupleSchema)
-      .write.mode("overwrite").parquet(s"$path/tuples")
-  }
-
-  /** The indexed tuples as a DataFrame (for result-set reranking demos). */
-  def toDataFrame(spark: SparkSession, schema: WebSchema): DataFrame = synchronized {
-    val rows = entries.toVector.flatMap(_.tuples).distinct.map { t =>
-      Row.fromSeq(Seq(t.id) ++ schema.numeric.map(t.num) ++ schema.categorical.map(t.cat))
-    }
-    val st = StructType(
-      Seq(StructField("id", LongType, nullable = false))
-        ++ schema.numeric.map(StructField(_, DoubleType, nullable = false))
-        ++ schema.categorical.map(StructField(_, StringType, nullable = false)))
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), st)
+  /** Persist the store as one Parquet dataset at `path`, replacing what is
+    * there: one row per region, holding its position, box and tuples.
+    */
+  def persist(spark: SparkSession, path: String): Unit = {
+    import spark.implicits._
+    allEntries.zipWithIndex.map(_.swap).toDS().write.mode("overwrite").parquet(path)
   }
 }
 
 object DenseRegionStore {
 
+  /** A fully-crawled region and its complete tuple content. */
+  final case class Entry(box: Box, tuples: Vector[WebTuple])
+
   /** Load a store previously written by [[DenseRegionStore.persist]]. */
-  def load(spark: SparkSession, schema: WebSchema, path: String): DenseRegionStore = {
-    val store   = new DenseRegionStore
-    val regions = spark.read.parquet(s"$path/regions").collect()
-    val tuples  = spark.read.parquet(s"$path/tuples").collect()
-    val boxes = regions.groupBy(_.getAs[Int]("region")).map { case (rid, rows) =>
-      rid -> Box(rows.map { r =>
-        r.getAs[String]("attr") -> Interval(
-          r.getAs[Double]("lo"), r.getAs[Double]("hi"),
-          r.getAs[Boolean]("lo_incl"), r.getAs[Boolean]("hi_incl"))
-      }.toMap)
-    }
-    val byRegion = tuples.groupBy(_.getAs[Int]("region"))
-    boxes.toSeq.sortBy(_._1).foreach { case (rid, box) =>
-      val ts = byRegion.getOrElse(rid, Array.empty[Row]).toVector.map { r =>
-        WebTuple(
-          r.getAs[Long]("id"),
-          schema.numeric.map(a => a -> r.getAs[Double](a)).toMap,
-          schema.categorical.map(a => a -> r.getAs[String](a)).toMap)
-      }
-      store.add(box, ts.sortBy(_.id))
-    }
+  def load(spark: SparkSession, path: String): DenseRegionStore = {
+    import spark.implicits._
+    val store = new DenseRegionStore
+    // Position order: `lookupBox` answers from the first containing region.
+    spark.read.parquet(path).as[(Int, Entry)].collect().sortBy(_._1)
+      .foreach { case (_, e) => store.add(e.box, e.tuples) }
     store
   }
 }

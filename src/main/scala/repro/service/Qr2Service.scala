@@ -51,9 +51,6 @@ final class Qr2Service(
     val store: DenseRegionStore = new DenseRegionStore,
 ) {
 
-  /** Simulated latency of one sequential round-trip to the web database. */
-  val latencyMsPerRound: Long = DbStats.DefaultLatencyMs
-
   /** Accountant for service-level bootstrap traffic (min/max discovery,
     * cache verification) — shared overhead, not billed to any session.
     */
@@ -153,7 +150,7 @@ final class Qr2Session(
   def stats: DbStats = acc.snapshot
 
   /** Simulated processing time under the service's latency model. */
-  def simulatedMs: Long = stats.simulatedMs(service.latencyMsPerRound)
+  def simulatedMs: Long = stats.simulatedMs
 
   /** The statistics panel string, e.g. `"27 queries, 33.0 s"`. */
   def statsPanel: String =

@@ -84,8 +84,7 @@ final case class DbStats(log: Vector[BilledRound], crawlTuples: Long) extends Ro
     val par = batchSizes.filter(_ > 1).map(_.toLong).sum
     if (queries == 0) 0.0 else par.toDouble / queries
   }
-  def simulatedMs(latencyMsPerRound: Long = DbStats.DefaultLatencyMs): Long =
-    rounds * latencyMsPerRound
+  def simulatedMs: Long = rounds * DbStats.DefaultLatencyMs
 }
 
 object DbStats {
@@ -99,18 +98,13 @@ object DbStats {
   * requests (QR2 issues independent queries concurrently — §II-B of the
   * paper), `topK` is a batch of one.
   *
-  * The connection memoizes responses for its lifetime — QR2's *session
+  * The connection caches responses for its lifetime — QR2's *session
   * variable*: "used to store the tuples that are already seen … in order to
   * accelerate the query processing and subsequent get-next operations"
   * (§II-A). A repeated query is answered from the session cache and is not
-  * billed (no request leaves the service); `memoize = false` disables the
-  * cache where raw interface behaviour is wanted.
+  * billed (no request leaves the service).
   */
-final class WebDbConn(
-    val db: WebDb,
-    val acc: Accountant = new Accountant,
-    val memoize: Boolean = true,
-) {
+final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   def schema: WebSchema = db.schema
   def k: Int = db.k
 
@@ -120,8 +114,7 @@ final class WebDbConn(
   def memoSize: Int = memo.size
 
   /** One sequential request (a round of size 1). */
-  def topK(q: WebQuery, crawl: Boolean = false): TopKResponse =
-    batch(Seq(q), crawl).head
+  def topK(q: WebQuery): TopKResponse = batch(Seq(q)).head
 
   /** One parallel round of independent requests. Physical execution is
     * sequential in the simulator; the accountant records the round shape,
@@ -130,10 +123,6 @@ final class WebDbConn(
     */
   def batch(qs: Seq[WebQuery], crawl: Boolean = false): Seq[TopKResponse] = {
     require(qs.nonEmpty, "empty batch")
-    if (!memoize) {
-      acc.bill(BilledRound(qs.size, crawl))
-      return qs.map(db.rawTopK)
-    }
     val misses = qs.distinct.filterNot(memo.contains)
     if (misses.nonEmpty) {
       acc.bill(BilledRound(misses.size, crawl))

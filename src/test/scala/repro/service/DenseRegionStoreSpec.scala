@@ -81,8 +81,8 @@ class DenseRegionStoreSpec extends SparkSpec {
     s.add(box, ts)
     s.add(Box(Map("price" -> Interval(200.0, 500.0))), db.allTuples.filter(_.num("price") <= 500.0))
     val dir = Files.createTempDirectory("qr2-store").toString
-    s.persist(spark, db.schema, dir)
-    val loaded = DenseRegionStore.load(spark, db.schema, dir)
+    s.persist(spark, dir)
+    val loaded = DenseRegionStore.load(spark, dir)
     assert(loaded.size == s.size)
     assert(loaded.lookupBox(box).get.map(_.id).sorted == ts.map(_.id).sorted)
     // full tuple content (numeric + categorical) survives
@@ -100,8 +100,8 @@ class DenseRegionStoreSpec extends SparkSpec {
     s.add(wide, db.allTuples.filter(wide.contains))
     s.add(empty, Seq.empty)
     val dir = Files.createTempDirectory("qr2-store-order").toString
-    s.persist(spark, db.schema, dir)
-    val loaded = DenseRegionStore.load(spark, db.schema, dir)
+    s.persist(spark, dir)
+    val loaded = DenseRegionStore.load(spark, dir)
     assert(loaded.allEntries.map(_.box) == Vector(open, wide, empty))
     def ids(b: Box): Option[Vector[Long]] = loaded.lookupBox(b).map(_.map(_.id).sorted)
     assert(ids(Box(Map("price" -> Interval(300.0, 400.0)))) ==
@@ -110,16 +110,6 @@ class DenseRegionStoreSpec extends SparkSpec {
       Some(db.allTuples.filter(wide.contains).map(_.id).sorted),
       "200 lies outside the open first region, so the second answers")
     assert(loaded.lookupBox(Box(Map("carat" -> Interval(9.1, 9.2)))) == Some(Vector.empty))
-  }
-
-  test("toDataFrame deduplicates tuples shared by several regions") {
-    val db = TestFixtures.diamonds(spark, 0.002)
-    val s  = new DenseRegionStore
-    val ts = db.allTuples.take(20)
-    s.add(Box(Map("price" -> Interval(0.0, 1e6))), ts)
-    s.add(Box(Map("carat" -> Interval(0.0, 10.0))), ts.take(10))
-    val df = s.toDataFrame(spark, db.schema)
-    assert(df.count() == 20)
   }
 
   test("indexedTupleCount sums entry sizes") {

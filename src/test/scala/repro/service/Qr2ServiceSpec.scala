@@ -109,7 +109,7 @@ class Qr2ServiceSpec extends SparkSpec {
     session.getPage(5)
     val s = session.stats
     assert(s.queries > 0 && s.rounds > 0)
-    assert(session.simulatedMs == s.rounds * service.latencyMsPerRound)
+    assert(session.simulatedMs == s.rounds * DbStats.DefaultLatencyMs)
     assert(session.statsPanel.matches("""\d+ queries, \d+\.\d s"""), session.statsPanel)
   }
 

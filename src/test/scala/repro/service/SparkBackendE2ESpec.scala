@@ -57,10 +57,10 @@ class SparkBackendE2ESpec extends SparkSpec {
     val service1 = new Qr2Service(sparkDb)
     service1.newSession(WebQuery.all, OneDRank("lwr"), Algo.Rerank).getPage(10)
     assert(service1.store.size > 0)
-    service1.store.persist(spark, sparkDb.schema, dir)
+    service1.store.persist(spark, dir)
 
     // "Before the system boots up we verify the cache and update the changes."
-    val loaded   = DenseRegionStore.load(spark, sparkDb.schema, dir)
+    val loaded   = DenseRegionStore.load(spark, dir)
     val service2 = new Qr2Service(sparkDb, loaded)
     assert(service2.verifyCache() == service1.store.size)
     val s2 = service2.newSession(WebQuery.all, OneDRank("lwr"), Algo.Rerank)

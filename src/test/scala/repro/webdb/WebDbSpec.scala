@@ -88,12 +88,14 @@ class WebDbSpec extends SparkSpec {
     }
   }
 
-  test("accountant: queries, rounds and parallel rounds (memoization off)") {
+  test("accountant: queries, rounds and parallel rounds") {
     val db   = TestFixtures.diamonds(spark)
-    val conn = new WebDbConn(db, memoize = false)
+    val conn = new WebDbConn(db)
     conn.topK(WebQuery.all)
-    conn.batch(Seq(WebQuery.all, WebQuery.all.and("price", Interval(200.0, 500.0))))
-    conn.topK(WebQuery.all, crawl = true)
+    conn.batch(Seq(
+      WebQuery.all.and("price", Interval(200.0, 500.0)),
+      WebQuery.all.and("price", Interval(500.0, 1000.0))))
+    conn.batch(Seq(WebQuery.all.and("carat", Interval(0.2, 0.4))), crawl = true)
     val s = conn.acc.snapshot
     assert(s.queries == 4)
     assert(s.rounds == 3)
@@ -102,7 +104,7 @@ class WebDbSpec extends SparkSpec {
     assert(s.sequentialRounds == 2)
     assert(s.batchSizes == Vector(1, 2, 1))
     assert(s.parallelQueryFraction == 0.5)
-    assert(s.simulatedMs(1200) == 3600)
+    assert(s.simulatedMs == 3600)
   }
 
   test("session cache: a repeated query is answered for free") {
@@ -138,10 +140,12 @@ class WebDbSpec extends SparkSpec {
 
   test("accountant `since` computes deltas") {
     val db   = TestFixtures.diamonds(spark)
-    val conn = new WebDbConn(db, memoize = false)
+    val conn = new WebDbConn(db)
     conn.topK(WebQuery.all)
     val snap = conn.acc.snapshot
-    conn.batch(Seq(WebQuery.all, WebQuery.all))
+    conn.batch(Seq(
+      WebQuery.all.and("price", Interval(200.0, 500.0)),
+      WebQuery.all.and("price", Interval(500.0, 1000.0))))
     val d = conn.acc.since(snap)
     assert(d.queries == 2 && d.rounds == 1 && d.parallelRounds == 1)
     assert(d.batchSizes == Vector(2))
