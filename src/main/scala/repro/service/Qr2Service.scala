@@ -149,7 +149,7 @@ final class Qr2Session(
   /** Session cost so far (the statistics panel numbers). */
   def stats: DbStats = acc.snapshot
 
-  /** Simulated processing time under the service's latency model. */
+  /** Simulated processing time: rounds at `DbStats.DefaultLatencyMs` each. */
   def simulatedMs: Long = stats.simulatedMs
 
   /** The statistics panel string, e.g. `"27 queries, 33.0 s"`. */
