@@ -11,11 +11,9 @@ object MDAlgorithm {
 }
 
 /** Shared skeleton of the MD get-next strategies: candidate bookkeeping,
-  * the session-level cache of *resolved* boxes (QR2's session variable —
-  * a box whose query did not overflow is fully known and never re-queried
-  * within the session), and the parallel round executor. A get-next runs
-  * [[search]], which improves the best candidate until no box can beat it,
-  * and emits that candidate.
+  * the lower rank-contour of the session, and the parallel round executor.
+  * A get-next runs [[search]], which improves the best candidate until no
+  * box can beat it, and emits that candidate.
   */
 abstract class MDAlgorithm(
     val conn: WebDbConn,
@@ -41,21 +39,7 @@ abstract class MDAlgorithm(
 
   /** Widest dimension, width measured relative to the advertised domain. */
   protected def widestDim(b: Box): (String, Double) =
-    b.dims
-      .map { case (a, iv) => (a, iv.width / math.max(conn.schema.numDomains(a).width, 1e-12)) }
-      .maxBy(_._2)
-
-  // -------------------------------------------------------------------
-  // Session cache of resolved boxes: box → its complete matching content.
-  // -------------------------------------------------------------------
-  private val resolved = mutable.Buffer.empty[(Box, Vector[WebTuple])]
-
-  private def cacheResolved(box: Box, ts: Seq[WebTuple]): Unit =
-    resolved += ((box, ts.toVector))
-
-  /** Full content of `box` if a resolved superset is cached. */
-  private def fromSessionCache(box: Box): Option[Vector[WebTuple]] =
-    resolved.collectFirst { case (rb, ts) if box.containedIn(rb) => ts.filter(box.contains) }
+    b.dims.map { case (a, iv) => (a, iv.width / math.max(conn.schema.numDomains(a).width, 1e-12)) }.maxBy(_._2)
 
   /** Score of the most recently emitted tuple. Every tuple scoring strictly
     * below it has already been emitted (the output is in score order), so a
@@ -96,33 +80,27 @@ abstract class MDAlgorithm(
   protected def search(): Unit
 
   /** One round of the search. Boxes are drawn from `boxes` until it runs
-    * dry or [[WebDbConn.MaxPar]] of them need a query; a box the session
-    * cache or the policy's index holds resolves locally, and the rest go
-    * out as **one parallel batch**. Every response is considered in batch
-    * order: a box that did not overflow is cached as resolved; one that
-    * overflows at the policy's give-up width is crawled; any other is
-    * handed to `overflow` at once, so the caller sees `s*` as the earlier
+    * dry or [[WebDbConn.MaxPar]] of them need a query; a box whose content
+    * the connection ([[WebDbConn.content]]) or the policy's index holds
+    * resolves locally, and the rest go out as **one parallel batch**. The
+    * responses are considered in batch order: a box overflowing at the
+    * policy's give-up width is crawled, any other overflowing box is handed
+    * to `overflow` at once, so the caller sees `s*` as the earlier
     * responses of the round left it.
     */
   protected final def round(boxes: Iterator[Box])(overflow: Box => Unit): Unit = {
     val batch = mutable.Buffer.empty[Box]
     while (batch.size < WebDbConn.MaxPar && boxes.hasNext) {
       val box = boxes.next()
-      fromSessionCache(box).orElse(policy.lookup(base, box)) match {
-        case Some(ts) => consider(ts)
-        case None     => batch += box
-      }
+      val known = conn.content(box.toQuery(base)).orElse(policy.lookup(base, box))
+      if (known.isDefined) consider(known.get) else batch += box
     }
     if (batch.nonEmpty) {
       val responses = conn.batch(batch.toSeq.map(_.toQuery(base)))
       batch.lazyZip(responses).foreach { (box, res) =>
         consider(res.tuples)
-        if (!res.overflow) cacheResolved(box, res.tuples)
-        else if (widestDim(box)._2 <= policy.widthMD) {
-          val ts = policy.crawl(conn, base, box)
-          cacheResolved(box, ts)
-          consider(ts)
-        } else overflow(box)
+        if (res.overflow && widestDim(box)._2 <= policy.widthMD) consider(policy.crawl(conn, base, box))
+        else if (res.overflow) overflow(box)
       }
     }
   }
@@ -198,8 +176,7 @@ final class MDBaseline(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: 
     extends MDAlgorithm(conn, base, f, norm, DensePolicy.Unindexed) {
 
   protected def search(): Unit = {
-    var work: Vector[Box] =
-      Vector(initialBox).filterNot(b => b.isEmpty || exhaustedBelowContour(b))
+    var work = Vector(initialBox).filterNot(b => b.isEmpty || exhaustedBelowContour(b))
     while (work.nonEmpty) {
       val (now, later) = work.splitAt(WebDbConn.MaxPar)
       val keep         = mutable.Buffer.from(later)
@@ -209,9 +186,7 @@ final class MDBaseline(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: 
         else if (RankContour.shrank(box, clipped)) keep += clipped
         else {
           val (b1, b2) = box.split(widestDim(box)._1)
-          keep ++= Seq(b1, b2)
-            .map(b => RankContour.clip(f, b, sStar, norm))
-            .filterNot(_.isEmpty)
+          keep ++= Seq(b1, b2).map(b => RankContour.clip(f, b, sStar, norm)).filterNot(_.isEmpty)
         }
       }
       // Re-clip the frontier against the tightened contour and drop boxes

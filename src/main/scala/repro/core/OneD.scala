@@ -36,9 +36,7 @@ abstract class OneDAlgorithm(
     if (pending.nonEmpty) return Some(pending.dequeue())
     if (exhausted) return None
     findNextKey(frontier) match {
-      case None =>
-        exhausted = true
-        None
+      case None => exhausted = true; None
       case Some(kv) =>
         val v     = ks.raw(kv)
         val group = materializeGroup(v).sortBy(_.id)
@@ -61,13 +59,14 @@ abstract class OneDAlgorithm(
   final def firstValue(): Option[Double] = findNextKey(None).map(ks.raw)
 
   /** All matching tuples with `attr = v`. Overflowing value groups are
-    * crawled — the QR2 fix for >k tuples sharing a value. A value group is a
+    * crawled — the QR2 fix for >k tuples sharing a value. A group inside a
+    * complete region of the session is read from it. A value group is a
     * dense region too: under [[DensePolicy.Indexed]] it resolves from the
     * store when indexed, and is indexed when crawled.
     */
   private def materializeGroup(v: Double): Vector[WebTuple] = {
     val group = Box(Map(attr -> Interval.point(v)))
-    policy.lookup(base, group).getOrElse {
+    conn.content(group.toQuery(base)).orElse(policy.lookup(base, group)).getOrElse {
       val res = conn.topK(group.toQuery(base))
       if (!res.overflow) res.tuples.toVector else policy.crawl(conn, base, group)
     }
@@ -94,7 +93,8 @@ abstract class OneDAlgorithm(
   * bound to the smallest returned value until the query no longer
   * overflows. Cheap when the hidden system ranking is positively correlated
   * with the requested order (the first pages already contain the smallest
-  * values); O(#distinct values) queries when anti-correlated.
+  * values); O(#distinct values) queries when anti-correlated. It reads no
+  * coverage from complete regions: that shortcut is the halving loop's.
   */
 final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean)
     extends OneDAlgorithm(conn, base, attr, asc, DensePolicy.Unindexed) {
@@ -120,7 +120,9 @@ final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boo
 
 /** 1D-BINARY and 1D-RERANK — one halving search of the key interval
   * `(lo, hi]`: probe the left half; empty → move right, no overflow →
-  * answer, overflow → recurse left. The [[DensePolicy]] decides the rest:
+  * answer, overflow → recurse left. A complete region of the session (see
+  * [[WebDbConn]]) that covers the frontier answers first, or is skipped.
+  * The [[DensePolicy]] decides the rest:
   *
   *  - [[DensePolicy.Unindexed]] (BINARY) narrows an overflowing probe to
   *    its midpoint, all the way down to machine resolution, and then crawls
@@ -135,28 +137,24 @@ final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boo
 class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, policy: DensePolicy)
     extends OneDAlgorithm(conn, base, attr, asc, policy) {
 
+  private def coverage(lo: Double): Option[(Double, Boolean, Vector[WebTuple])] =
+    (policy.coverageFrom(attr, asc, lo) ++ conn.coverageFrom(base, attr, asc, lo)).maxByOption(c => (c._1, c._2))
+
   protected def findNextKey(frontierKey: Option[Double]): Option[Double] = {
     var lo = startKey(frontierKey)
 
-    // Index lookup: skip/answer over any contiguous indexed coverage.
-    var covered = true
-    while (covered) {
-      policy.coverageFrom(attr, asc, lo) match {
-        case Some((covEnd, covIncl, ts)) =>
-          val cand = ts.iterator
-            .filter(t => base.matches(t) && ks.key(t.num(attr)) > lo)
-            .map(t => ks.key(t.num(attr)))
-            .minOption
-          cand match {
-            case Some(kv) => return Some(kv)
-            case None =>
-              // The indexed stretch is empty under this filter. An open end
-              // leaves `covEnd` itself unindexed: probe it before skipping.
-              if (!covIncl && !probe(Interval.point(covEnd)).isEmpty) return Some(covEnd)
-              lo = covEnd
-          }
-        case None => covered = false
-      }
+    // Answer from, or skip past, contiguous coverage: the furthest-reaching
+    // indexed stretch or complete region of the session beyond `lo`.
+    var cover = coverage(lo)
+    while (cover.isDefined) {
+      val (covEnd, covIncl, ts) = cover.get
+      val cand = ts.iterator.filter(base.matches).map(t => ks.key(t.num(attr))).filter(_ > lo).minOption
+      if (cand.isDefined) return cand
+      // The stretch is empty under this filter. An open end leaves `covEnd`
+      // itself uncovered: probe it before skipping.
+      if (!covIncl && !probe(Interval.point(covEnd)).isEmpty) return Some(covEnd)
+      lo = covEnd
+      cover = coverage(lo)
     }
 
     var hi   = ks.keyDomain.hi

@@ -93,12 +93,12 @@ final case class KeySpace(attr: String, asc: Boolean, domain: Interval) {
   def key(v: Double): Double = if (asc) v else -v
 
   /** The key-space image of the attribute domain. */
-  def keyDomain: Interval =
-    if (asc) domain else Interval(-domain.hi, -domain.lo, domain.hiIncl, domain.loIncl)
+  def keyDomain: Interval = toRaw(domain)
 
-  /** Map a key-space interval to the raw-space interval it denotes. */
-  def toRaw(kIv: Interval): Interval =
-    if (asc) kIv else Interval(-kIv.hi, -kIv.lo, kIv.hiIncl, kIv.loIncl)
+  /** Map a key-space interval to the raw-space interval it denotes (and,
+    * the map being its own inverse, a raw interval to its key interval).
+    */
+  def toRaw(kIv: Interval): Interval = if (asc) kIv else kIv.negate
 
   /** Raw value of a key (inverse of `key`). */
   def raw(kv: Double): Double = if (asc) kv else -kv

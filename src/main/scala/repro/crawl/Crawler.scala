@@ -43,7 +43,8 @@ import scala.collection.mutable
 object Crawler {
 
   /** Retrieve every tuple matching `q`. Queries, and the tuples
-    * retrieved, are tagged as crawl traffic in the connection's accountant.
+    * retrieved, are tagged as crawl traffic in the connection's accountant,
+    * and `q` with its tuples becomes a complete region of the connection.
     * Sub-queries contained in a region of `store` are answered from it at
     * no cost; cache verification passes no store, because it must re-crawl.
     *
@@ -75,8 +76,9 @@ object Crawler {
         }
       }
     }
-    conn.crawled(out.size)
-    out.values.toVector
+    val all = out.values.toVector
+    conn.crawled(q, all)
+    all
   }
 
   /** Split an overflowing query, which returned `returned`, into two

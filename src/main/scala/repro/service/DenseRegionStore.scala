@@ -62,12 +62,10 @@ final class DenseRegionStore {
       val hits = entries.iterator.flatMap { e =>
         e.box.dims.get(attr) match {
           case Some(iv) if e.box.dims.size == 1 =>
-            val kIv = if (asc) iv else Interval(-iv.hi, -iv.lo, iv.hiIncl, iv.loIncl)
-            // Covers (fromKeyExcl, …] iff its lower bound does not exceed the
-            // frontier AND it extends strictly beyond it — an entry ending at
-            // the frontier covers nothing new (and would stall the caller's
-            // skip-ahead loop).
-            if (kIv.lo <= fromKeyExcl && kIv.hi > fromKeyExcl)
+            val kIv = if (asc) iv else iv.negate
+            // An entry ending at the frontier covers nothing new (and would
+            // stall the caller's skip-ahead loop).
+            if (kIv.coversAbove(fromKeyExcl))
               Some((kIv.hi, kIv.hiIncl, e.tuples))
             else None
           case _ => None

@@ -98,19 +98,25 @@ object DbStats {
   * requests (QR2 issues independent queries concurrently — §II-B of the
   * paper), `topK` is a batch of one.
   *
-  * The connection caches responses for its lifetime — QR2's *session
-  * variable*: "used to store the tuples that are already seen … in order to
-  * accelerate the query processing and subsequent get-next operations"
-  * (§II-A). A repeated query is answered from the session cache and is not
-  * billed (no request leaves the service).
+  * The connection is QR2's *session variable*, which stores "the tuples
+  * that are already seen … to accelerate … subsequent get-next operations"
+  * (§II-A). An exact memo answers repeated queries. The *complete regions*,
+  * each a query with every tuple matching it (a billed response that did
+  * not overflow, or a finished crawl), answer the queries inside them
+  * through the region lookup [[content]] (semantic query caching, Dar et
+  * al., VLDB'96): when at most k region tuples match, they are the answer,
+  * with `overflow = false`, exactly as the web database would return it.
+  * Otherwise the query is sent: a crawled region lacks the hidden rank
+  * order. Local answers are not billed.
   */
 final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   def schema: WebSchema = db.schema
   def k: Int = db.k
 
-  private val memo = mutable.HashMap.empty[WebQuery, TopKResponse]
+  private val memo    = mutable.HashMap.empty[WebQuery, TopKResponse]
+  private val regions = mutable.ArrayBuffer.empty[(WebQuery, Vector[WebTuple])]
 
-  /** Number of distinct responses held by the session cache. */
+  /** Number of distinct answers held by the memo. */
   def memoSize: Int = memo.size
 
   /** One sequential request (a round of size 1). */
@@ -118,23 +124,51 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
 
   /** One parallel round of independent requests. Physical execution is
     * sequential in the simulator; the accountant records the round shape,
-    * which is what the paper's Fig 2 measures. Only cache misses are
-    * billed; a round of pure cache hits issues no requests at all.
+    * which is what the paper's Fig 2 measures. Only queries neither the
+    * memo nor a complete region answers are billed; a round of such local
+    * answers issues no requests at all.
     */
   def batch(qs: Seq[WebQuery], crawl: Boolean = false): Seq[TopKResponse] = {
     require(qs.nonEmpty, "empty batch")
+    for (q <- qs.distinct if !memo.contains(q); ts <- content(q) if ts.size <= k)
+      memo.update(q, TopKResponse(ts, overflow = false))
     val misses = qs.distinct.filterNot(memo.contains)
     if (misses.nonEmpty) {
       acc.bill(BilledRound(misses.size, crawl))
-      misses.foreach(q => memo.update(q, db.rawTopK(q)))
+      misses.foreach { q =>
+        val res = db.rawTopK(q)
+        memo.update(q, res)
+        if (!res.overflow) regions += ((q, res.tuples.toVector))
+      }
     }
     qs.map(memo)
   }
 
-  /** Record that a crawl through this connection retrieved `tuples`
-    * distinct tuples.
+  /** Every tuple matching `q`, if `q` was answered without overflow or
+    * lies inside a complete region.
     */
-  def crawled(tuples: Int): Unit = acc.crawled(tuples)
+  def content(q: WebQuery): Option[Vector[WebTuple]] = memo.get(q) match {
+    case Some(res) if !res.overflow => Some(res.tuples.toVector)
+    case hit => // a region holding an overflowing query holds more than k tuples
+      regions.findLast { case (rq, ts) => (hit.isEmpty || ts.size > k) && q.within(rq) }.map(_._2.filter(q.matches))
+  }
+
+  /** 1D: the complete region reaching furthest beyond key `lo` of `attr`
+    * (negated when descending) that holds every `base` tuple there, as
+    * (end key, end inclusive, tuples), like `DenseRegionStore.coverageFrom`.
+    */
+  def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[(Double, Boolean, Vector[WebTuple])] =
+    regions.iterator.flatMap { case (rq, ts) =>
+      rq.num.get(attr).map(iv => (iv, if (asc) iv else iv.negate)).collect {
+        case (iv, kIv) if kIv.coversAbove(lo) && base.and(attr, iv).within(rq) => (kIv.hi, kIv.hiIncl, ts)
+      }
+    }.maxByOption(c => (c._1, c._2))
+
+  /** Register a finished crawl: `q` with every tuple matching it. */
+  def crawled(q: WebQuery, tuples: Vector[WebTuple]): Unit = {
+    regions += ((q, tuples))
+    acc.crawled(tuples.size)
+  }
 }
 
 object WebDbConn {
@@ -163,13 +197,8 @@ final class LocalWebDb(
 
   private[webdb] def rawTopK(q: WebQuery): TopKResponse = {
     if (q.unsatisfiable) return TopKResponse(Vector.empty, overflow = false)
-    val hits = new mutable.ArrayBuffer[WebTuple](k + 1)
-    val it = ranked.iterator
-    while (it.hasNext && hits.size <= k) {
-      val t = it.next()
-      if (q.matches(t)) hits += t
-    }
-    TopKResponse(hits.take(k).toVector, overflow = hits.size > k)
+    val hits = ranked.iterator.filter(q.matches).take(k + 1).toVector
+    TopKResponse(hits.take(k), overflow = hits.size > k)
   }
 }
 
@@ -181,10 +210,7 @@ object LocalWebDb {
     * return identical pages.
     */
   def fromDataFrame(df: DataFrame, schema: WebSchema, k: Int): LocalWebDb = {
-    val rows = df
-      .orderBy(col(WebData.SysScoreCol).asc, col(schema.idCol).asc)
-      .collect()
-      .toVector
+    val rows = df.orderBy(col(WebData.SysScoreCol).asc, col(schema.idCol).asc).collect().toVector
     new LocalWebDb(rows.map(r => SparkWebDb.rowToTuple(r, schema)), schema, k)
   }
 }
@@ -214,9 +240,8 @@ object SparkWebDb {
   /** Translate a [[WebQuery]] into a Catalyst filter Column. */
   def queryToColumn(q: WebQuery): Column = {
     val numConds = q.num.toSeq.flatMap { case (a, iv) =>
-      val loC = if (iv.loIncl) col(a) >= lit(iv.lo) else col(a) > lit(iv.lo)
-      val hiC = if (iv.hiIncl) col(a) <= lit(iv.hi) else col(a) < lit(iv.hi)
-      Seq(loC, hiC)
+      Seq(if (iv.loIncl) col(a) >= lit(iv.lo) else col(a) > lit(iv.lo),
+        if (iv.hiIncl) col(a) <= lit(iv.hi) else col(a) < lit(iv.hi))
     }
     val catConds = q.cat.toSeq.map { case (a, vs) => col(a).isin(vs.toSeq: _*) }
     (numConds ++ catConds).foldLeft(lit(true))(_ && _)

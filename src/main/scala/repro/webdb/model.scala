@@ -24,6 +24,14 @@ final case class Interval(lo: Double, hi: Double, loIncl: Boolean = true, hiIncl
   /** Midpoint, used by the binary-search strategies. */
   def mid: Double = lo + (hi - lo) / 2
 
+  /** `{-v | v ∈ this}`: the image of the interval in a descending key space. */
+  def negate: Interval = Interval(-hi, -lo, hiIncl, loIncl)
+
+  /** True when the interval holds every value just above `v`: `(v, v + ε]`
+    * for some ε > 0.
+    */
+  def coversAbove(v: Double): Boolean = lo <= v && hi > v
+
   /** Largest interval contained in both `this` and `o`. */
   def intersect(o: Interval): Interval = {
     val (nlo, nloI) =
@@ -106,6 +114,13 @@ final case class WebQuery(
 
   /** True when the query can match no tuple at all (some constraint is empty). */
   def unsatisfiable: Boolean = num.values.exists(_.isEmpty) || cat.values.exists(_.isEmpty)
+
+  /** True when every tuple matching `this` matches `o`: each constraint of
+    * `o` is implied by `this`'s constraint on the same attribute.
+    */
+  def within(o: WebQuery): Boolean =
+    o.num.forall { case (a, iv) => num.get(a).exists(_.subsetOf(iv)) } &&
+      o.cat.forall { case (a, vs) => cat.get(a).exists(_.subsetOf(vs)) }
 
   /** Predicate evaluation on a driver-side tuple. */
   def matches(t: WebTuple): Boolean =

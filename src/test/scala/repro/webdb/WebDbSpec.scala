@@ -1,5 +1,9 @@
 package repro.webdb
 
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.{Gen, Prop, Test}
 import repro.crawl.Crawler
 import repro.{SparkSpec, TestFixtures}
 
@@ -187,5 +191,174 @@ class WebDbSpec extends SparkSpec {
     }
     assert(firstPage.forall(_.num("price") < medianAll),
       "the system's default order must surface cheap tuples first")
+  }
+
+  // -------------------------------------------------------------------
+  // Complete regions: a local answer is the web database's answer.
+  // -------------------------------------------------------------------
+
+  private lazy val diamonds = TestFixtures.diamonds(spark)
+
+  /** Distinct catalogue values of each numeric attribute, ascending. */
+  private lazy val values: Map[String, Vector[Double]] =
+    diamonds.schema.numeric.map(a => a -> diamonds.allTuples.map(_.num(a)).distinct.sorted).toMap
+
+  private def count(q: WebQuery): Int = diamonds.allTuples.count(q.matches)
+
+  /** Run `p` from a fixed seed, so a failure reproduces. */
+  private def check(p: Prop): Unit = {
+    val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(20180417L))
+    val res    = Test.check(params, p)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  /** An interval between catalogue values of `a` at most `span` ranks
+    * apart, or (`gap`) the open gap between two neighbouring values.
+    */
+  private def genInterval(a: String, span: Int, gap: Boolean): Gen[Interval] = {
+    val vs = values(a)
+    for {
+      i  <- Gen.choose(0, vs.size - 2)
+      j  <- Gen.choose(i, math.min(i + span, vs.size - 1))
+      li <- Gen.oneOf(true, false)
+      hi <- Gen.oneOf(true, false)
+    } yield if (gap) Interval.open(vs(i), vs(i + 1)) else Interval(vs(i), vs(j), li, hi)
+  }
+
+  /** A region over one or two numeric attributes, and at times a facet. */
+  private def genRegion(span: Int, gap: Boolean): Gen[WebQuery] =
+    for {
+      attrs <- Gen.pick(2, diamonds.schema.numeric).flatMap(p => Gen.oneOf(p.toSeq.take(1), p.toSeq))
+      ivs   <- Gen.sequence[Seq[Interval], Interval](attrs.map(a => genInterval(a, span, gap && a == attrs.head)))
+      facet <- Gen.option(Gen.oneOf(diamonds.schema.categorical).flatMap(c =>
+        Gen.atLeastOne(diamonds.schema.catDomains(c)).map(vs => c -> vs.toSet)))
+    } yield WebQuery(attrs.zip(ivs).toMap, facet.toMap)
+
+  /** How a region became complete, and the region: a billed response that
+    * did not overflow, an empty response, or a crawl.
+    */
+  private val genComplete: Gen[(String, WebQuery)] = Gen.oneOf(
+    genRegion(span = 6, gap = false).map("response" -> _),
+    genRegion(span = 6, gap = true).map("empty" -> _),
+    genRegion(span = Int.MaxValue / 2, gap = false).map("crawl" -> _),
+  )
+
+  /** Make `region` complete on `conn` the way `source` says; false when a
+    * response source overflowed (the case is then discarded).
+    */
+  private def establish(conn: WebDbConn, source: String, region: WebQuery): Boolean =
+    if (source == "crawl") { Crawler.crawlQuery(conn, region); true }
+    else !conn.topK(region).overflow
+
+  /** A query inside `region`: each interval narrowed towards catalogue
+    * values inside it (a bound kept keeps or closes its kind), each facet a
+    * subset, and at times one more constraint the region does not have.
+    */
+  private def genInside(region: WebQuery): Gen[WebQuery] = {
+    def narrow(a: String, iv: Interval): Gen[Interval] = {
+      val inner = values(a).filter(iv.contains)
+      if (inner.isEmpty) Gen.const(iv)
+      else
+        for {
+          v1 <- Gen.oneOf(inner); v2 <- Gen.oneOf(inner)
+          keepLo <- Gen.oneOf(true, false); keepHi <- Gen.oneOf(true, false)
+          li <- Gen.oneOf(true, false); hi <- Gen.oneOf(true, false)
+        } yield {
+          val (lo, up) = (math.min(v1, v2), math.max(v1, v2))
+          Interval(
+            if (keepLo) iv.lo else lo, if (keepHi) iv.hi else up,
+            if (keepLo) iv.loIncl && li else li, if (keepHi) iv.hiIncl && hi else hi)
+        }
+    }
+    val free = diamonds.schema.numeric.filterNot(region.num.contains)
+    for {
+      num   <- Gen.sequence[Seq[(String, Interval)], (String, Interval)](
+        region.num.toSeq.map { case (a, iv) => narrow(a, iv).map(a -> _) })
+      cat   <- Gen.sequence[Seq[(String, Set[String])], (String, Set[String])](
+        region.cat.toSeq.map { case (c, vs) => Gen.someOf(vs).map(c -> _.toSet) })
+      extra <- Gen.option(Gen.oneOf(free).flatMap(a => genInterval(a, span = 200, gap = false).map(a -> _)))
+    } yield WebQuery(num.toMap ++ extra, cat.toMap)
+  }
+
+  /** A query overlapping `region` only in part: one constraint of the
+    * region is widened past its bound (an open bound closed, or moved out
+    * to the domain's edge) or dropped.
+    */
+  private def genPartial(region: WebQuery): Gen[WebQuery] =
+    genInside(region).flatMap { q =>
+      val widenNum = region.num.toSeq.map { case (a, iv) =>
+        val dom = diamonds.schema.numDomains(a)
+        Gen.oneOf(
+          q.copy(num = q.num.updated(a, q.num(a).copy(hi = iv.hi, hiIncl = true))),
+          q.copy(num = q.num.updated(a, q.num(a).copy(hi = dom.hi + 1.0, hiIncl = true))),
+          q.copy(num = q.num - a))
+      }
+      val widenCat = region.cat.toSeq.map { case (c, vs) =>
+        Gen.oneOf(q.copy(cat = q.cat - c), q.copy(cat = q.cat.updated(c, vs ++ diamonds.schema.catDomains(c))))
+      }
+      Gen.oneOf(widenNum ++ widenCat).flatMap(identity)
+    }.suchThat(q => !q.within(region) && count(q.andAll(region)) > 0)
+
+  test("property: a query inside a complete region with at most k matches is answered locally, as the web database would") {
+    check(Prop.forAll(genComplete.flatMap { case (src, r) => genInside(r).map(q => (src, r, q)) }) {
+      case (src, region, q) =>
+        val conn = new WebDbConn(diamonds)
+        (establish(conn, src, region) && count(q) <= diamonds.k) ==> {
+          val billed = conn.acc.queries
+          val got    = conn.topK(q)
+          val web    = diamonds.rawTopK(q)
+          Prop(q.within(region)) :| "generator: q lies inside the region" &&
+          Prop(got.tuples.map(_.id).toSet == web.tuples.map(_.id).toSet) :| "tuple set" &&
+          Prop(got.overflow == web.overflow) :| "overflow flag" &&
+          Prop(conn.acc.queries == billed) :| "billed nothing"
+        } :| s"$src region $region, query $q"
+    })
+  }
+
+  /** A region containing `q`: each constraint of `q` kept, closed, opened
+    * to the attribute's whole domain, or dropped.
+    */
+  private def genAround(q: WebQuery): Gen[WebQuery] =
+    for {
+      num <- Gen.sequence[Seq[Option[(String, Interval)]], Option[(String, Interval)]](q.num.toSeq.map {
+        case (a, iv) =>
+          Gen.oneOf(Some(a -> iv), Some(a -> iv.copy(loIncl = true, hiIncl = true)),
+            Some(a -> diamonds.schema.numDomains(a)), None)
+      })
+      cat <- Gen.sequence[Seq[Option[(String, Set[String])]], Option[(String, Set[String])]](
+        q.cat.toSeq.map(c => Gen.option(Gen.const(c))))
+    } yield WebQuery(num.flatten.toMap, cat.flatten.toMap)
+
+  test("property: a query inside a crawled region with more than k matches is billed") {
+    val genCase = for {
+      q      <- genRegion(span = Int.MaxValue / 2, gap = false).suchThat(q => count(q) > diamonds.k)
+      region <- genAround(q)
+    } yield (region, q)
+    check(Prop.forAll(genCase) { case (region, q) =>
+      val conn = new WebDbConn(diamonds)
+      Crawler.crawlQuery(conn, region)
+      val (billed, held) = (conn.acc.queries, conn.memoSize)
+      val got            = conn.topK(q)
+      // A query the crawl itself sent is an exact repeat, which the memo
+      // answers; only the others show what the region lookup does.
+      (conn.memoSize > held) ==> {
+        Prop(q.within(region)) :| "generator: q lies inside the region" &&
+        Prop(got == diamonds.rawTopK(q)) :| "the web database's page" &&
+        Prop(conn.acc.queries == billed + 1) :| "billed once"
+      } :| s"region $region, query $q"
+    })
+  }
+
+  test("property: a query partly overlapping a complete region is billed") {
+    check(Prop.forAll(genComplete.flatMap { case (src, r) => genPartial(r).map(q => (src, r, q)) }) {
+      case (src, region, q) =>
+        val conn = new WebDbConn(diamonds)
+        establish(conn, src, region) ==> {
+          val billed = conn.acc.queries
+          val got    = conn.topK(q)
+          Prop(got == diamonds.rawTopK(q)) :| "the web database's page" &&
+          Prop(conn.acc.queries == billed + 1) :| "billed once"
+        } :| s"$src region $region, query $q"
+    })
   }
 }
