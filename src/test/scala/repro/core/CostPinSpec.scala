@@ -95,27 +95,27 @@ class CostPinSpec extends SparkSpec {
     "1D-BASELINE carat asc unfiltered" ->
       Pin(13, 6, 3, 10, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
     "1D-BINARY carat asc unfiltered" ->
-      Pin(47, 33, 6, 21, 82, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
+      Pin(36, 29, 3, 11, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
     "1D-RERANK carat asc unfiltered" ->
       Pin(21, 14, 3, 10, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
     "1D-BASELINE carat desc unfiltered" ->
-      Pin(300, 300, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
+      Pin(288, 288, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
     "1D-BINARY carat desc unfiltered" ->
-      Pin(100, 100, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
+      Pin(22, 22, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
     "1D-RERANK carat desc unfiltered" ->
-      Pin(94, 94, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
+      Pin(82, 82, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
     "1D-BASELINE carat asc cut=Ideal" ->
       Pin(9, 9, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
     "1D-BINARY carat asc cut=Ideal" ->
-      Pin(30, 30, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
+      Pin(29, 29, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
     "1D-RERANK carat asc cut=Ideal" ->
       Pin(21, 21, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
     "1D-BASELINE carat desc cut=Ideal" ->
-      Pin(240, 240, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
+      Pin(219, 219, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "1D-BINARY carat desc cut=Ideal" ->
-      Pin(94, 94, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
+      Pin(19, 19, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "1D-RERANK carat desc cut=Ideal" ->
-      Pin(110, 110, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
+      Pin(60, 60, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "MD-BASELINE [price - 0.5 carat] unfiltered" ->
       Pin(241, 43, 41, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BINARY [price - 0.5 carat] unfiltered" ->
@@ -123,7 +123,7 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.5 carat] unfiltered" ->
       Pin(116, 31, 19, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-TA [price - 0.5 carat] unfiltered" ->
-      Pin(3281, 3281, 0, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+      Pin(2736, 2736, 0, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BASELINE [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(114, 66, 48, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BINARY [price - 0.1 carat - 0.5 depth] unfiltered" ->
@@ -131,7 +131,7 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(71, 29, 14, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-TA [price - 0.1 carat - 0.5 depth] unfiltered" ->
-      Pin(1552, 1552, 0, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+      Pin(1259, 1259, 0, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BASELINE [price - 0.5 carat] cut=Ideal" ->
       Pin(160, 47, 37, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-BINARY [price - 0.5 carat] cut=Ideal" ->
@@ -139,7 +139,7 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.5 carat] cut=Ideal" ->
       Pin(64, 21, 10, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-TA [price - 0.5 carat] cut=Ideal" ->
-      Pin(996, 996, 0, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+      Pin(700, 700, 0, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-BASELINE [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
       Pin(91, 56, 35, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-BINARY [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
@@ -147,11 +147,11 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
       Pin(35, 22, 9, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-TA [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
-      Pin(630, 630, 0, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+      Pin(431, 431, 0, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "1D-BASELINE lwr asc" ->
       Pin(61, 12, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "1D-BINARY lwr asc" ->
-      Pin(142, 44, 18, 116, 420, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+      Pin(83, 34, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "1D-RERANK lwr asc #1" ->
       Pin(71, 22, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "1D-RERANK lwr asc #2" ->
