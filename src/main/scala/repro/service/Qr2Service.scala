@@ -53,6 +53,7 @@ final class Qr2Service(
 
   /** Accountant for service-level bootstrap traffic (min/max discovery,
     * cache verification) — shared overhead, not billed to any session.
+    * Only code holding the service's lock sends traffic through it.
     */
   val serviceAcc = new Accountant
 
@@ -62,16 +63,19 @@ final class Qr2Service(
     * direction ("obtaining the min and max values on each attribute is
     * simply doable using the 1D-RERANK algorithm", §II-B). Only the key
     * search runs: the normalizer needs the extreme values, not the tuples
-    * sharing them. Cached for the service lifetime.
+    * sharing them. Cached for the service lifetime; discovery runs under
+    * the service's lock, so concurrent first uses run it once.
     */
   def minMax(attr: String): (Double, Double) =
-    minMaxCache.getOrElseUpdate(attr, {
-      val conn = new WebDbConn(db, serviceAcc)
-      def extreme(asc: Boolean): Double =
-        new OneDRerank(conn, WebQuery.all, attr, asc, store)
-          .firstValue()
-          .getOrElse(throw new IllegalStateException(s"empty database: no extreme for $attr"))
-      (extreme(asc = true), extreme(asc = false))
+    minMaxCache.getOrElse(attr, synchronized {
+      minMaxCache.getOrElseUpdate(attr, {
+        val conn = new WebDbConn(db, serviceAcc)
+        def extreme(asc: Boolean): Double =
+          new OneDRerank(conn, WebQuery.all, attr, asc, store)
+            .firstValue()
+            .getOrElse(throw new IllegalStateException(s"empty database: no extreme for $attr"))
+        (extreme(asc = true), extreme(asc = false))
+      })
     })
 
   /** Min-max normalizer over the given ranking attributes. */
@@ -106,7 +110,7 @@ final class Qr2Service(
     * re-crawl every indexed region and rebuild the store content. Returns
     * the number of regions refreshed.
     */
-  def verifyCache(): Int = {
+  def verifyCache(): Int = synchronized {
     val conn    = new WebDbConn(db, serviceAcc)
     val entries = store.allEntries
     val fresh   = entries.map(e =>

@@ -38,6 +38,28 @@ class Qr2ServiceSpec extends SparkSpec {
     assert(service.serviceAcc.queries == q1)
   }
 
+  test("concurrent first uses of minMax run each discovery once") {
+    val db    = TestFixtures.diamonds(spark)
+    val alone = new Qr2Service(db)
+    val truth = db.schema.numeric.map(a => a -> alone.minMax(a)).toMap
+    val service = new Qr2Service(db)
+    val start   = new java.util.concurrent.CountDownLatch(1)
+    val seen    = new java.util.concurrent.ConcurrentLinkedQueue[(String, (Double, Double))]
+    val threads = (0 until 4).map { i =>
+      // Each thread walks the attributes from a different one, so threads
+      // miss on the same and on different attributes at once.
+      val order = db.schema.numeric.drop(i) ++ db.schema.numeric.take(i)
+      new Thread(() => { start.await(); order.foreach(a => seen.add(a -> service.minMax(a))) })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(seen.size == 4 * db.schema.numeric.size)
+    seen.forEach(p => assert(p._2 == truth(p._1), p._1))
+    assert(service.serviceAcc.queries == alone.serviceAcc.queries)
+    assert(service.serviceAcc.rounds == alone.serviceAcc.rounds)
+  }
+
   test("service normalizer equals the data-true normalizer") {
     val db      = TestFixtures.houses(spark)
     val service = new Qr2Service(db)
