@@ -114,7 +114,8 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   def k: Int = db.k
 
   private val memo    = mutable.HashMap.empty[WebQuery, TopKResponse]
-  private val regions = mutable.ArrayBuffer.empty[(WebQuery, Vector[WebTuple])]
+  // Complete regions: non-overflowing responses (at most k tuples each) and crawls.
+  private val answered, crawls = mutable.ArrayBuffer.empty[(WebQuery, Vector[WebTuple])]
 
   /** Number of distinct answers held by the memo. */
   def memoSize: Int = memo.size
@@ -138,7 +139,7 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
       misses.foreach { q =>
         val res = db.rawTopK(q)
         memo.update(q, res)
-        if (!res.overflow) regions += ((q, res.tuples.toVector))
+        if (!res.overflow) answered += ((q, res.tuples.toVector))
       }
     }
     qs.map(memo)
@@ -149,8 +150,9 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
     */
   def content(q: WebQuery): Option[Vector[WebTuple]] = memo.get(q) match {
     case Some(res) if !res.overflow => Some(res.tuples.toVector)
-    case hit => // a region holding an overflowing query holds more than k tuples
-      regions.findLast { case (rq, ts) => (hit.isEmpty || ts.size > k) && q.within(rq) }.map(_._2.filter(q.matches))
+    case hit => // only a crawl can hold an overflowing query's more than k tuples
+      val holders = if (hit.isEmpty) crawls.reverseIterator ++ answered.reverseIterator else crawls.reverseIterator
+      holders.find(r => q.within(r._1)).map(_._2.filter(q.matches))
   }
 
   /** 1D: the complete region reaching furthest beyond key `lo` of `attr`
@@ -158,7 +160,7 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
     * (end key, end inclusive, tuples), like `DenseRegionStore.coverageFrom`.
     */
   def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[(Double, Boolean, Vector[WebTuple])] =
-    regions.iterator.flatMap { case (rq, ts) =>
+    (answered.iterator ++ crawls).flatMap { case (rq, ts) =>
       rq.num.get(attr).map(iv => (iv, if (asc) iv else iv.negate)).collect {
         case (iv, kIv) if kIv.coversAbove(lo) && base.and(attr, iv).within(rq) => (kIv.hi, kIv.hiIncl, ts)
       }
@@ -166,7 +168,7 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
 
   /** Register a finished crawl: `q` with every tuple matching it. */
   def crawled(q: WebQuery, tuples: Vector[WebTuple]): Unit = {
-    regions += ((q, tuples))
+    crawls += ((q, tuples))
     acc.crawled(tuples.size)
   }
 }
