@@ -8,7 +8,7 @@ import repro.bench.Experiments._
   */
 abstract class TableJob(app: String, defaultSf: Double)(report: (SparkSession, Double) => String) {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -15,7 +15,10 @@ import repro.webdb._
   *  - [[DensePolicy.Indexed]] (RERANK, and TA's sorted-access iterators)
   *    gives up early, crawls the region *without* the user filter so the
   *    result serves every later filter, and adds it to the shared
-  *    [[DenseRegionStore]], which it consults before sending a query.
+  *    [[DenseRegionStore]].
+  *
+  * The policy is also the one place that decides which complete regions a
+  * search reads: the session's, and under `Indexed` the store's as well.
   *
   * @param width1D give-up width of the 1D halving loop, as a fraction of the
   *                attribute's domain
@@ -25,16 +28,26 @@ import repro.webdb._
   *                returned key (RERANK's observed-min shortcut, a known
   *                matching bound at least as tight as the midpoint) instead
   *                of to the probe's own upper end
+  * @param indexed the shared store this policy reads and extends, if any
   */
-sealed abstract class DensePolicy(val width1D: Double, val widthMD: Double, val observedMin: Boolean) {
+sealed abstract class DensePolicy(
+    val width1D: Double,
+    val widthMD: Double,
+    val observedMin: Boolean,
+    val indexed: Option[DenseRegionStore],
+) {
 
-  /** Every tuple of `region` matching `base`, when known without a query. */
-  def lookup(base: WebQuery, region: Box): Option[Vector[WebTuple]]
+  /** Every tuple matching `q`, when a complete region holds them. */
+  final def content(conn: WebDbConn, q: WebQuery): Option[Vector[WebTuple]] =
+    conn.content(q).orElse(indexed.flatMap(_.content(q)))
 
-  /** 1D: the indexed stretch of `attr` just beyond key `lo`, as
-    * [[DenseRegionStore.coverageFrom]] reports it.
+  /** 1D: the complete region reaching furthest beyond key `lo` of `attr`
+    * ([[CompleteRegions.coverageFrom]]).
     */
-  def coverageFrom(attr: String, asc: Boolean, lo: Double): Option[(Double, Boolean, Vector[WebTuple])]
+  final def coverageFrom(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, lo: Double)
+      : Option[CompleteRegions.Coverage] =
+    CompleteRegions.furthest(
+      conn.coverageFrom(base, attr, asc, lo) ++ indexed.flatMap(_.coverageFrom(base, attr, asc, lo)))
 
   /** 1D: the key interval to crawl when `(lo, hi]` is dense. */
   def sliver(lo: Double, hi: Double): Interval
@@ -45,23 +58,14 @@ sealed abstract class DensePolicy(val width1D: Double, val widthMD: Double, val 
 
 object DensePolicy {
 
-  case object Unindexed extends DensePolicy(width1D = 1e-7, widthMD = 1e-6, observedMin = false) {
-    def lookup(base: WebQuery, region: Box): Option[Vector[WebTuple]] = None
-    def coverageFrom(attr: String, asc: Boolean, lo: Double): Option[(Double, Boolean, Vector[WebTuple])] =
-      None
+  case object Unindexed extends DensePolicy(width1D = 1e-7, widthMD = 1e-6, observedMin = false, indexed = None) {
     def sliver(lo: Double, hi: Double): Interval = Interval.openClosed(lo, hi)
     def crawl(conn: WebDbConn, base: WebQuery, region: Box): Vector[WebTuple] =
       Crawler.crawlQuery(conn, region.toQuery(base))
   }
 
   final case class Indexed(store: DenseRegionStore)
-      extends DensePolicy(width1D = 1e-3, widthMD = 1e-2, observedMin = true) {
-
-    def lookup(base: WebQuery, region: Box): Option[Vector[WebTuple]] =
-      store.lookupBox(region).map(_.filter(t => region.contains(t) && base.matches(t)))
-
-    def coverageFrom(attr: String, asc: Boolean, lo: Double): Option[(Double, Boolean, Vector[WebTuple])] =
-      store.coverageFrom(attr, asc, lo)
+      extends DensePolicy(width1D = 1e-3, widthMD = 1e-2, observedMin = true, indexed = Some(store)) {
 
     /** Closed, so the indexed region covers the frontier `lo` and later
       * coverage lookups find it contiguous.

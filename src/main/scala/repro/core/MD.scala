@@ -80,9 +80,9 @@ abstract class MDAlgorithm(
   protected def search(): Unit
 
   /** One round of the search. Boxes are drawn from `boxes` until it runs
-    * dry or [[WebDbConn.MaxPar]] of them need a query; a box whose content
-    * the connection ([[WebDbConn.content]]) or the policy's index holds
-    * resolves locally, and the rest go out as **one parallel batch**. The
+    * dry or [[WebDbConn.MaxPar]] of them need a query; a box inside a
+    * complete region the policy reads ([[DensePolicy.content]]) resolves
+    * locally, and the rest go out as **one parallel batch**. The
     * responses are considered in batch order: a box overflowing at the
     * policy's give-up width is crawled, any other overflowing box is handed
     * to `overflow` at once, so the caller sees `s*` as the earlier
@@ -92,7 +92,7 @@ abstract class MDAlgorithm(
     val batch = mutable.Buffer.empty[Box]
     while (batch.size < WebDbConn.MaxPar && boxes.hasNext) {
       val box = boxes.next()
-      val known = conn.content(box.toQuery(base)).orElse(policy.lookup(base, box))
+      val known = policy.content(conn, box.toQuery(base))
       if (known.isDefined) consider(known.get) else batch += box
     }
     if (batch.nonEmpty) {
@@ -123,7 +123,7 @@ class MDBranchAndBound(
     policy: DensePolicy,
 ) extends MDAlgorithm(conn, base, f, norm, policy) {
 
-  private final case class Entry(ms: Double, serial: Long, box: Box)
+  import MDBranchAndBound.Entry
   private implicit val entryOrd: Ordering[Entry] =
     Ordering.by((e: Entry) => (-e.ms, -e.serial)) // max-heap: lowest ms, then oldest, first
   private var serial = 0L
@@ -143,6 +143,10 @@ class MDBranchAndBound(
         push(b1); push(b2)
       }
   }
+}
+
+object MDBranchAndBound {
+  private final case class Entry(ms: Double, serial: Long, box: Box)
 }
 
 /** MD-BINARY: branch-and-bound under [[DensePolicy.Unindexed]] — a box is

@@ -60,13 +60,13 @@ abstract class OneDAlgorithm(
 
   /** All matching tuples with `attr = v`. Overflowing value groups are
     * crawled — the QR2 fix for >k tuples sharing a value. A group inside a
-    * complete region of the session is read from it. A value group is a
-    * dense region too: under [[DensePolicy.Indexed]] it resolves from the
-    * store when indexed, and is indexed when crawled.
+    * complete region the policy reads ([[DensePolicy.content]]) is read
+    * from it. A value group is a dense region too: under
+    * [[DensePolicy.Indexed]] it is indexed when crawled.
     */
   private def materializeGroup(v: Double): Vector[WebTuple] = {
     val group = Box(Map(attr -> Interval.point(v)))
-    conn.content(group.toQuery(base)).orElse(policy.lookup(base, group)).getOrElse {
+    policy.content(conn, group.toQuery(base)).getOrElse {
       val res = conn.topK(group.toQuery(base))
       if (!res.overflow) res.tuples.toVector else policy.crawl(conn, base, group)
     }
@@ -120,8 +120,9 @@ final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boo
 
 /** 1D-BINARY and 1D-RERANK — one halving search of the key interval
   * `(lo, hi]`: probe the left half; empty → move right, no overflow →
-  * answer, overflow → recurse left. A complete region of the session (see
-  * [[WebDbConn]]) that covers the frontier answers first, or is skipped.
+  * answer, overflow → recurse left. A complete region the policy reads
+  * ([[DensePolicy.coverageFrom]]) that covers the frontier answers first,
+  * or is skipped.
   * The [[DensePolicy]] decides the rest:
   *
   *  - [[DensePolicy.Unindexed]] (BINARY) narrows an overflowing probe to
@@ -137,24 +138,21 @@ final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boo
 class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, policy: DensePolicy)
     extends OneDAlgorithm(conn, base, attr, asc, policy) {
 
-  private def coverage(lo: Double): Option[(Double, Boolean, Vector[WebTuple])] =
-    (policy.coverageFrom(attr, asc, lo) ++ conn.coverageFrom(base, attr, asc, lo)).maxByOption(c => (c._1, c._2))
-
   protected def findNextKey(frontierKey: Option[Double]): Option[Double] = {
     var lo = startKey(frontierKey)
 
     // Answer from, or skip past, contiguous coverage: the furthest-reaching
-    // indexed stretch or complete region of the session beyond `lo`.
-    var cover = coverage(lo)
-    while (cover.isDefined) {
-      val (covEnd, covIncl, ts) = cover.get
-      val cand = ts.iterator.filter(base.matches).map(t => ks.key(t.num(attr))).filter(_ > lo).minOption
-      if (cand.isDefined) return cand
-      // The stretch is empty under this filter. An open end leaves `covEnd`
-      // itself uncovered: probe it before skipping.
-      if (!covIncl && !probe(Interval.point(covEnd)).isEmpty) return Some(covEnd)
-      lo = covEnd
-      cover = coverage(lo)
+    // complete region of the session or the store beyond `lo`.
+    var covered = true
+    while (covered) policy.coverageFrom(conn, base, attr, asc, lo) match {
+      case Some((covEnd, covIncl, ts)) =>
+        val cand = ts.iterator.filter(base.matches).map(t => ks.key(t.num(attr))).filter(_ > lo).minOption
+        if (cand.isDefined) return cand
+        // The stretch is empty under this filter. An open end leaves `covEnd`
+        // itself uncovered: probe it before skipping.
+        if (!covIncl && !probe(Interval.point(covEnd)).isEmpty) return Some(covEnd)
+        lo = covEnd
+      case None => covered = false
     }
 
     var hi   = ks.keyDomain.hi

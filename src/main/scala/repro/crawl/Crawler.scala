@@ -63,8 +63,8 @@ object Crawler {
       val round = mutable.Buffer.empty[WebQuery]
       while (frontier.nonEmpty && round.size < WebDbConn.MaxPar) {
         val sub = frontier.dequeue()
-        store.flatMap(_.lookupBox(Box(sub.num))) match {
-          case Some(ts) => ts.iterator.filter(sub.matches).foreach(t => out.update(t.id, t))
+        store.flatMap(_.content(sub)) match {
+          case Some(ts) => ts.foreach(t => out.update(t.id, t))
           case None     => round += sub
         }
       }

@@ -100,14 +100,13 @@ object DbStats {
   *
   * The connection is QR2's *session variable*, which stores "the tuples
   * that are already seen … to accelerate … subsequent get-next operations"
-  * (§II-A). An exact memo answers repeated queries. The *complete regions*,
-  * each a query with every tuple matching it (a billed response that did
-  * not overflow, or a finished crawl), answer the queries inside them
-  * through the region lookup [[content]] (semantic query caching, Dar et
-  * al., VLDB'96): when at most k region tuples match, they are the answer,
-  * with `overflow = false`, exactly as the web database would return it.
-  * Otherwise the query is sent: a crawled region lacks the hidden rank
-  * order. Local answers are not billed.
+  * (§II-A). An exact memo answers repeated queries. Two sets of
+  * [[CompleteRegions]], the billed responses that did not overflow and the
+  * finished crawls, answer the queries inside them: when at most k region
+  * tuples match, they are the answer, with `overflow = false`, exactly as
+  * the web database would return it. Otherwise the query is sent: a
+  * crawled region lacks the hidden rank order. Local answers are not
+  * billed.
   */
 final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   def schema: WebSchema = db.schema
@@ -115,7 +114,7 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
 
   private val memo    = mutable.HashMap.empty[WebQuery, TopKResponse]
   // Complete regions: non-overflowing responses (at most k tuples each) and crawls.
-  private val answered, crawls = mutable.ArrayBuffer.empty[(WebQuery, Vector[WebTuple])]
+  private val answered, crawls = new CompleteRegions
 
   /** Number of distinct answers held by the memo. */
   def memoSize: Int = memo.size
@@ -139,7 +138,7 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
       misses.foreach { q =>
         val res = db.rawTopK(q)
         memo.update(q, res)
-        if (!res.overflow) answered += ((q, res.tuples.toVector))
+        if (!res.overflow) answered.add(q, res.tuples.toVector)
       }
     }
     qs.map(memo)
@@ -150,25 +149,17 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
     */
   def content(q: WebQuery): Option[Vector[WebTuple]] = memo.get(q) match {
     case Some(res) if !res.overflow => Some(res.tuples.toVector)
-    case hit => // only a crawl can hold an overflowing query's more than k tuples
-      val holders = if (hit.isEmpty) crawls.reverseIterator ++ answered.reverseIterator else crawls.reverseIterator
-      holders.find(r => q.within(r._1)).map(_._2.filter(q.matches))
+    case None                       => crawls.content(q).orElse(answered.content(q))
+    case Some(_)                    => crawls.content(q) // only a crawl holds an overflowing query's > k tuples
   }
 
-  /** 1D: the complete region reaching furthest beyond key `lo` of `attr`
-    * (negated when descending) that holds every `base` tuple there, as
-    * (end key, end inclusive, tuples), like `DenseRegionStore.coverageFrom`.
-    */
-  def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[(Double, Boolean, Vector[WebTuple])] =
-    (answered.iterator ++ crawls).flatMap { case (rq, ts) =>
-      rq.num.get(attr).map(iv => (iv, if (asc) iv else iv.negate)).collect {
-        case (iv, kIv) if kIv.coversAbove(lo) && base.and(attr, iv).within(rq) => (kIv.hi, kIv.hiIncl, ts)
-      }
-    }.maxByOption(c => (c._1, c._2))
+  /** 1D: [[CompleteRegions.coverageFrom]] over the session's regions. */
+  def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[CompleteRegions.Coverage] =
+    CompleteRegions.furthest(Seq(answered, crawls).flatMap(_.coverageFrom(base, attr, asc, lo)))
 
   /** Register a finished crawl: `q` with every tuple matching it. */
   def crawled(q: WebQuery, tuples: Vector[WebTuple]): Unit = {
-    crawls += ((q, tuples))
+    crawls.add(q, tuples)
     acc.crawled(tuples.size)
   }
 }

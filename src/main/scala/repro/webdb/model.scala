@@ -106,12 +106,6 @@ final case class WebQuery(
   def andCat(attr: String, vs: Set[String]): WebQuery =
     copy(cat = cat.updated(attr, cat.get(attr).map(_.intersect(vs)).getOrElse(vs)))
 
-  /** Conjunction of two queries. */
-  def andAll(o: WebQuery): WebQuery = {
-    val q1 = o.num.foldLeft(this) { case (q, (a, iv)) => q.and(a, iv) }
-    o.cat.foldLeft(q1) { case (q, (a, vs)) => q.andCat(a, vs) }
-  }
-
   /** True when the query can match no tuple at all (some constraint is empty). */
   def unsatisfiable: Boolean = num.values.exists(_.isEmpty) || cat.values.exists(_.isEmpty)
 
@@ -165,17 +159,4 @@ final case class Box(dims: Map[String, Interval]) {
     val right = iv.copy(lo = m, loIncl = false)
     (copy(dims = dims.updated(attr, left)), copy(dims = dims.updated(attr, right)))
   }
-
-  /** True when every tuple in `this` is in `o` for the dims `o` constrains.
-    * (`o` is unconstrained on its absent dims, so only its dims matter; a
-    * dim `o` constrains that `this` leaves free breaks containment.)
-    */
-  def containedIn(o: Box): Boolean =
-    o.dims.forall { case (a, oIv) => dims.get(a).exists(_.subsetOf(oIv)) }
-}
-
-object Box {
-  /** The box spanning the full advertised domain of the given attributes. */
-  def fullDomain(schema: WebSchema, attrs: Seq[String]): Box =
-    Box(attrs.map(a => a -> schema.numDomains(a)).toMap)
 }

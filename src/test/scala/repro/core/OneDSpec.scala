@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.crawl.Crawler
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 import repro.service.DenseRegionStore
@@ -167,5 +168,18 @@ class OneDSpec extends SparkSpec {
     val truth = TestFixtures.groundTruth1D(db, WebQuery.all, "lwr", asc = true).take(30)
     assert(truth.head.num("lwr") == 1.0, "premise: the spike is the smallest lwr value")
     assert(got.map(_.id) == truth.map(_.id))
+  }
+
+  test("RERANK under a numeric filter answers from a multi-attribute region holding it") {
+    val db    = TestFixtures.diamonds(spark)
+    val dom   = db.schema.numDomains("price")
+    val box   = Box(Map("price" -> Interval(dom.lo - 10, dom.hi), "carat" -> Interval(0.5, 0.7)))
+    val store = new DenseRegionStore
+    store.add(box, Crawler.crawlQuery(new WebDbConn(db), box.toQuery()))
+    val base  = WebQuery.all.and("carat", Interval(0.55, 0.65))
+    val conn  = new WebDbConn(db)
+    val got   = new OneDRerank(conn, base, "price", asc = true, store).next(10)
+    assert(got.map(_.id) == TestFixtures.groundTruth1D(db, base, "price", asc = true).take(10).map(_.id))
+    assert(conn.acc.queries == 0, "the indexed region holds every tuple of the filter")
   }
 }

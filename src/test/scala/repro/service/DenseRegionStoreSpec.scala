@@ -4,40 +4,42 @@ import java.nio.file.Files
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
-/** Dense-region store semantics: containment lookup, 1D coverage, Parquet
-  * persistence (the MySQL-cache substitution).
+/** Dense-region store semantics: the complete-region lookups `content`
+  * and 1D `coverageFrom`, Parquet persistence (the MySQL-cache substitution).
   */
 class DenseRegionStoreSpec extends SparkSpec {
 
   private def t(id: Long, v: Double): WebTuple =
-    WebTuple(id, Map("x" -> v), Map.empty)
+    WebTuple(id, Map("x" -> v, "y" -> 0.5), Map.empty)
 
-  test("lookupBox hits only regions containing the probe box") {
+  private def q(dims: (String, Interval)*): WebQuery = Box(dims.toMap).toQuery()
+
+  test("content hits only regions containing the query") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(0.0, 10.0))), Seq(t(1, 5.0)))
-    assert(s.lookupBox(Box(Map("x" -> Interval(2.0, 3.0)))).isDefined)
-    assert(s.lookupBox(Box(Map("x" -> Interval(5.0, 12.0)))).isEmpty)
-    assert(s.lookupBox(Box(Map("y" -> Interval(2.0, 3.0)))).isEmpty,
+    assert(s.content(q("x" -> Interval(2.0, 3.0))).isDefined)
+    assert(s.content(q("x" -> Interval(5.0, 12.0))).isEmpty)
+    assert(s.content(q("y" -> Interval(2.0, 3.0))).isEmpty,
       "a probe on a different attribute is unconstrained on x and must miss")
   }
 
-  test("lookupBox with multi-dim entries requires containment on every entry dim") {
+  test("content with multi-dim entries requires containment on every entry dim") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(0.0, 10.0), "y" -> Interval(0.0, 1.0))), Seq(t(1, 5.0)))
-    assert(s.lookupBox(Box(Map("x" -> Interval(1.0, 2.0), "y" -> Interval(0.2, 0.5)))).isDefined)
-    assert(s.lookupBox(Box(Map("x" -> Interval(1.0, 2.0)))).isEmpty,
+    assert(s.content(q("x" -> Interval(1.0, 2.0), "y" -> Interval(0.2, 0.5))).isDefined)
+    assert(s.content(q("x" -> Interval(1.0, 2.0))).isEmpty,
       "probe unconstrained on y is not contained in the entry")
   }
 
   test("coverageFrom covers frontiers inside the region and skips those at its end") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(1.0, 2.0))), Seq(t(1, 1.5)))
-    assert(s.coverageFrom("x", asc = true, 0.9).isEmpty, "region starts above the frontier")
-    val Some((end, incl, ts)) = s.coverageFrom("x", asc = true, 1.2)
+    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 0.9).isEmpty, "region starts above the frontier")
+    val Some((end, incl, ts)) = s.coverageFrom(WebQuery.all, "x", asc = true, 1.2)
     assert(end == 2.0 && incl && ts.map(_.id) == Vector(1L))
-    assert(s.coverageFrom("x", asc = true, 2.0).isEmpty,
+    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 2.0).isEmpty,
       "a region ending at the frontier covers nothing beyond it")
-    assert(s.coverageFrom("x", asc = true, 1.0).isDefined,
+    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 1.0).isDefined,
       "closed region covers the neighbourhood above its own lower bound")
   }
 
@@ -45,23 +47,33 @@ class DenseRegionStoreSpec extends SparkSpec {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(1.0, 2.0))), Seq(t(1, 1.5)))
     // keys are −x: the region covers keys [−2, −1]
-    val Some((end, _, _)) = s.coverageFrom("x", asc = false, -1.8)
+    val Some((end, _, _)) = s.coverageFrom(WebQuery.all, "x", asc = false, -1.8)
     assert(end == -1.0)
-    assert(s.coverageFrom("x", asc = false, -0.5).isEmpty)
+    assert(s.coverageFrom(WebQuery.all, "x", asc = false, -0.5).isEmpty)
   }
 
   test("coverageFrom prefers the furthest-reaching entry") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(0.0, 1.0))), Seq(t(1, 0.5)))
     s.add(Box(Map("x" -> Interval(0.0, 3.0))), Seq(t(2, 2.5)))
-    val Some((end, _, ts)) = s.coverageFrom("x", asc = true, 0.2)
+    val Some((end, _, ts)) = s.coverageFrom(WebQuery.all, "x", asc = true, 0.2)
     assert(end == 3.0 && ts.map(_.id) == Vector(2L))
   }
 
   test("coverageFrom ignores multi-dimensional entries") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(0.0, 10.0), "y" -> Interval(0.0, 1.0))), Seq(t(1, 5.0)))
-    assert(s.coverageFrom("x", asc = true, 1.0).isEmpty)
+    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 1.0).isEmpty,
+      "an unconstrained base reaches beyond the entry's y interval")
+  }
+
+  test("coverageFrom reads a multi-dimensional entry for a base inside its other dimensions") {
+    val s = new DenseRegionStore
+    s.add(Box(Map("x" -> Interval(0.0, 10.0), "y" -> Interval(0.0, 1.0))), Seq(t(1, 5.0)))
+    val Some((end, incl, ts)) = s.coverageFrom(q("y" -> Interval(0.2, 0.5)), "x", asc = true, 1.0)
+    assert(end == 10.0 && incl && ts.map(_.id) == Vector(1L))
+    assert(s.coverageFrom(q("y" -> Interval(0.5, 2.0)), "x", asc = true, 1.0).isEmpty,
+      "a base reaching past the entry's y interval")
   }
 
   test("replaceAll swaps the content atomically") {
@@ -69,8 +81,8 @@ class DenseRegionStoreSpec extends SparkSpec {
     s.add(Box(Map("x" -> Interval(0.0, 1.0))), Seq(t(1, 0.5)))
     s.replaceAll(Seq((Box(Map("x" -> Interval(5.0, 6.0))), Seq(t(9, 5.5)))))
     assert(s.size == 1)
-    assert(s.lookupBox(Box(Map("x" -> Interval(5.2, 5.8)))).get.map(_.id) == Vector(9L))
-    assert(s.lookupBox(Box(Map("x" -> Interval(0.2, 0.8)))).isEmpty)
+    assert(s.content(q("x" -> Interval(5.2, 5.8))).get.map(_.id) == Vector(9L))
+    assert(s.content(q("x" -> Interval(0.2, 0.8))).isEmpty)
   }
 
   test("persist/load round-trips regions and tuples through Parquet") {
@@ -84,10 +96,10 @@ class DenseRegionStoreSpec extends SparkSpec {
     s.persist(spark, dir)
     val loaded = DenseRegionStore.load(spark, dir)
     assert(loaded.size == s.size)
-    assert(loaded.lookupBox(box).get.map(_.id).sorted == ts.map(_.id).sorted)
+    assert(loaded.content(box.toQuery()).get.map(_.id).sorted == ts.map(_.id).sorted)
     // full tuple content (numeric + categorical) survives
     val orig = ts.sortBy(_.id)
-    assert(loaded.lookupBox(box).get.sortBy(_.id) == orig)
+    assert(loaded.content(box.toQuery()).get.sortBy(_.id) == orig)
   }
 
   test("persist/load keeps region order, open bounds and empty regions") {
@@ -103,13 +115,14 @@ class DenseRegionStoreSpec extends SparkSpec {
     s.persist(spark, dir)
     val loaded = DenseRegionStore.load(spark, dir)
     assert(loaded.allEntries.map(_.box) == Vector(open, wide, empty))
-    def ids(b: Box): Option[Vector[Long]] = loaded.lookupBox(b).map(_.map(_.id).sorted)
-    assert(ids(Box(Map("price" -> Interval(300.0, 400.0)))) ==
-      Some(db.allTuples.filter(open.contains).map(_.id).sorted), "answered by the first region")
-    assert(ids(Box(Map("price" -> Interval(200.0, 400.0)))) ==
-      Some(db.allTuples.filter(wide.contains).map(_.id).sorted),
-      "200 lies outside the open first region, so the second answers")
-    assert(loaded.lookupBox(Box(Map("carat" -> Interval(9.1, 9.2)))) == Some(Vector.empty))
+    // Any containing region yields the same set: every tuple matching the query.
+    def ids(b: Box): Option[Vector[Long]] = loaded.content(b.toQuery()).map(_.map(_.id).sorted)
+    def matching(b: Box): Option[Vector[Long]] = Some(db.allTuples.filter(b.contains).map(_.id).sorted)
+    val inBoth = Box(Map("price" -> Interval(300.0, 400.0)))
+    assert(ids(inBoth) == matching(inBoth), "inside both regions")
+    val inWide = Box(Map("price" -> Interval(200.0, 400.0)))
+    assert(ids(inWide) == matching(inWide), "200 lies outside the open first region, so only the second holds it")
+    assert(loaded.content(q("carat" -> Interval(9.1, 9.2))) == Some(Vector.empty))
   }
 
   test("indexedTupleCount sums entry sizes") {

@@ -56,7 +56,7 @@ object ModelProps extends Properties("webdb.model") {
       // The strategies only ever split non-empty boxes (push() filters them).
       box.isEmpty || {
         val (b1, b2) = box.split("y")
-        b1.containedIn(box) && b2.containedIn(box)
+        b1.toQuery().within(box.toQuery()) && b2.toQuery().within(box.toQuery())
       }
     }
 

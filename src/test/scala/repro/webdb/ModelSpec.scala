@@ -31,14 +31,6 @@ class ModelSpec extends AnyFunSuite {
     assert(!WebQuery.all.and("x", Interval(4.0, 5.0)).unsatisfiable)
   }
 
-  test("andAll merges both kinds of constraints") {
-    val a = WebQuery.all.and("x", Interval(0.0, 10.0)).andCat("cut", Set("Ideal", "Good"))
-    val b = WebQuery.all.and("x", Interval(5.0, 20.0)).andCat("cut", Set("Good"))
-    val m = a.andAll(b)
-    assert(m.num("x") == Interval(5.0, 10.0))
-    assert(m.cat("cut") == Set("Good"))
-  }
-
   test("matches ignores unconstrained attributes") {
     val q = WebQuery.all.and("x", Interval(0.0, 1.0))
     assert(q.matches(t(1, "x" -> 0.5, "y" -> 999.0)))
@@ -66,17 +58,11 @@ class ModelSpec extends AnyFunSuite {
     }
   }
 
-  test("Box.containedIn honours unconstrained dimensions") {
-    val small = Box(Map("x" -> Interval(1.0, 2.0), "y" -> Interval(0.0, 1.0)))
-    val bigX  = Box(Map("x" -> Interval(0.0, 3.0)))
-    assert(small.containedIn(bigX)) // bigX unconstrained on y
-    assert(!bigX.containedIn(small)) // bigX leaves y free; small constrains it
-  }
-
-  test("Box.fullDomain spans the schema domains") {
-    val box = Box.fullDomain(WebData.diamondSchema, Seq("price", "carat"))
-    assert(box.dims("price") == WebData.diamondSchema.numDomains("price"))
-    assert(box.dims("carat") == WebData.diamondSchema.numDomains("carat"))
+  test("WebQuery.within honours unconstrained dimensions") {
+    val small = Box(Map("x" -> Interval(1.0, 2.0), "y" -> Interval(0.0, 1.0))).toQuery()
+    val bigX  = Box(Map("x" -> Interval(0.0, 3.0))).toQuery()
+    assert(small.within(bigX)) // bigX unconstrained on y
+    assert(!bigX.within(small)) // bigX leaves y free; small constrains it
   }
 
   test("TopKResponse.isEmpty") {

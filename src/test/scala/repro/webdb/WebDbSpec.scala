@@ -4,7 +4,9 @@ import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.{Gen, Prop, Test}
+import repro.core.DensePolicy
 import repro.crawl.Crawler
+import repro.service.DenseRegionStore
 import repro.{SparkSpec, TestFixtures}
 
 import scala.util.Random
@@ -360,6 +362,24 @@ class WebDbSpec extends SparkSpec {
           Prop(got == diamonds.rawTopK(q)) :| "the web database's page" &&
           Prop(conn.acc.queries == billed + 1) :| "billed once"
         } :| s"$src region $region, query $q"
+    })
+  }
+
+  test("property: the store tier answers a query inside a crawled region unbilled, and none partly outside it") {
+    val genCase = for {
+      region  <- genRegion(span = Int.MaxValue / 2, gap = false).map(r => WebQuery(r.num))
+      inside  <- genInside(region)
+      partial <- genPartial(region)
+    } yield (region, inside, partial)
+    check(Prop.forAll(genCase) { case (region, inside, partial) =>
+      val store = new DenseRegionStore
+      store.add(Box(region.num), Crawler.crawlQuery(new WebDbConn(diamonds), region))
+      val conn   = new WebDbConn(diamonds)
+      val policy = DensePolicy.Indexed(store)
+      val got    = policy.content(conn, inside).map(_.map(_.id).sorted)
+      (Prop(got == Some(diamonds.allTuples.filter(inside.matches).map(_.id).sorted)) :| "inside: every match" &&
+        Prop(policy.content(conn, partial).isEmpty) :| "partly outside: no answer" &&
+        Prop(conn.acc.queries == 0) :| "billed nothing") :| s"region $region, inside $inside, partly outside $partial"
     })
   }
 }
