@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.service.DenseRegionStore
+import repro.service.{DenseRegionStore, Qr2Service}
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
@@ -89,6 +89,24 @@ class CostPinSpec extends SparkSpec {
   pinTwice("MD-RERANK [price + lwr]") { (c, s) =>
     val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDRerank(c, WebQuery.all, f, n, s)
   }
+
+  // Min/max discovery (§II-B): the 1D-RERANK key search in each direction,
+  // billed to the service, on a fresh service for each attribute.
+  for (a <- WebData.diamondSchema.numeric)
+    test(s"minMax($a) costs exactly its pinned queries and rounds") {
+      val service = new Qr2Service(db)
+      service.minMax(a)
+      assert((service.serviceAcc.queries, service.serviceAcc.rounds) == bootstrap(a))
+    }
+
+  /** Queries and rounds of `minMax(attr)`. */
+  private lazy val bootstrap: Map[String, (Long, Long)] = Map(
+    "price"     -> (7L, 7L),
+    "carat"     -> (22L, 22L),
+    "depth"     -> (15L, 15L),
+    "table_pct" -> (12L, 12L),
+    "lwr"       -> (19L, 19L),
+  )
 
   /** A change that moves any of these must say why. */
   private lazy val expected: Map[String, Pin] = Map(
