@@ -105,8 +105,11 @@ object DbStats {
   * finished crawls, answer the queries inside them: when at most k region
   * tuples match, they are the answer, with `overflow = false`, exactly as
   * the web database would return it. Otherwise the query is sent: a
-  * crawled region lacks the hidden rank order. Local answers are not
-  * billed.
+  * crawled region lacks the hidden rank order. Before either, the schema
+  * answers: a query that is unsatisfiable, or whose interval on some
+  * attribute misses that attribute's advertised domain, matches no tuple
+  * (the [[WebSchema]] contract), so its answer is the empty page. Local
+  * answers are not billed.
   */
 final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   def schema: WebSchema = db.schema
@@ -125,13 +128,15 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   /** One parallel round of independent requests. Physical execution is
     * sequential in the simulator; the accountant records the round shape,
     * which is what the paper's Fig 2 measures. Only queries neither the
-    * memo nor a complete region answers are billed; a round of such local
-    * answers issues no requests at all.
+    * schema, the memo nor a complete region answers are billed; a round of
+    * such local answers issues no requests at all.
     */
   def batch(qs: Seq[WebQuery], crawl: Boolean = false): Seq[TopKResponse] = {
     require(qs.nonEmpty, "empty batch")
-    for (q <- qs.distinct if !memo.contains(q); ts <- content(q) if ts.size <= k)
-      memo.update(q, TopKResponse(ts, overflow = false))
+    for (q <- qs.distinct if !memo.contains(q)) {
+      val local = if (outsideDomain(q)) Some(Vector.empty) else content(q).filter(_.size <= k)
+      local.foreach(ts => memo.update(q, TopKResponse(ts, overflow = false)))
+    }
     val misses = qs.distinct.filterNot(memo.contains)
     if (misses.nonEmpty) {
       acc.bill(BilledRound(misses.size, crawl))
@@ -143,6 +148,10 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
     }
     qs.map(memo)
   }
+
+  /** True when `q` is unsatisfiable or misses an attribute's domain. */
+  private def outsideDomain(q: WebQuery): Boolean =
+    q.unsatisfiable || q.num.exists { case (a, iv) => schema.numDomains.get(a).exists(iv.intersect(_).isEmpty) }
 
   /** Every tuple matching `q`, if `q` was answered without overflow or
     * lies inside a complete region.
@@ -189,7 +198,6 @@ final class LocalWebDb(
   def allTuples: Vector[WebTuple] = ranked
 
   private[webdb] def rawTopK(q: WebQuery): TopKResponse = {
-    if (q.unsatisfiable) return TopKResponse(Vector.empty, overflow = false)
     val hits = ranked.iterator.filter(q.matches).take(k + 1).toVector
     TopKResponse(hits.take(k), overflow = hits.size > k)
   }
@@ -218,7 +226,6 @@ final class SparkWebDb(df: DataFrame, val schema: WebSchema, val k: Int) extends
   private val cached: DataFrame = df.cache()
 
   private[webdb] def rawTopK(q: WebQuery): TopKResponse = {
-    if (q.unsatisfiable) return TopKResponse(Vector.empty, overflow = false)
     val rows = cached
       .filter(SparkWebDb.queryToColumn(q))
       .orderBy(col(WebData.SysScoreCol).asc, col(schema.idCol).asc)

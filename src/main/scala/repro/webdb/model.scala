@@ -77,6 +77,11 @@ final case class WebTuple(id: Long, num: Map[String, Double], cat: Map[String, S
 /** Static description of a web database's public search interface:
   * which attributes are filterable and their advertised domains
   * (every real site documents slider ranges / dropdown values).
+  *
+  * Contract: every tuple's value of a numeric attribute lies inside that
+  * attribute's `numDomains` interval. [[WebDbConn]] relies on it: a query
+  * whose interval misses the domain matches nothing and is answered
+  * locally, without a request.
   */
 final case class WebSchema(
     name: String,
@@ -145,9 +150,6 @@ final case class Box(dims: Map[String, Interval]) {
   /** Conjoin the box's constraints onto a base query. */
   def toQuery(base: WebQuery = WebQuery.all): WebQuery =
     dims.foldLeft(base) { case (q, (a, iv)) => q.and(a, iv) }
-
-  def contains(t: WebTuple): Boolean =
-    dims.forall { case (a, iv) => iv.contains(t.num(a)) }
 
   /** Split along `attr` at its midpoint into `[lo, mid]` and `(mid, hi]`
     * (boundary kinds inherited from the parent so children partition it).

@@ -102,36 +102,36 @@ class CostPinSpec extends SparkSpec {
   /** Queries and rounds of `minMax(attr)`. */
   private lazy val bootstrap: Map[String, (Long, Long)] = Map(
     "price"     -> (7L, 7L),
-    "carat"     -> (22L, 22L),
-    "depth"     -> (15L, 15L),
-    "table_pct" -> (12L, 12L),
-    "lwr"       -> (19L, 19L),
+    "carat"     -> (7L, 7L),
+    "depth"     -> (4L, 4L),
+    "table_pct" -> (4L, 4L),
+    "lwr"       -> (4L, 4L),
   )
 
   /** A change that moves any of these must say why. */
   private lazy val expected: Map[String, Pin] = Map(
     "1D-BASELINE carat asc unfiltered" ->
-      Pin(13, 6, 3, 10, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
+      Pin(12, 5, 3, 10, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
     "1D-BINARY carat asc unfiltered" ->
-      Pin(36, 29, 3, 11, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
+      Pin(25, 18, 3, 11, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
     "1D-RERANK carat asc unfiltered" ->
-      Pin(21, 14, 3, 10, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
+      Pin(12, 5, 3, 10, 41, Seq(12, 21, 28, 57, 108, 112, 146, 147, 151, 155, 230, 231, 235, 272, 275, 287, 327, 343, 357, 363)),
     "1D-BASELINE carat desc unfiltered" ->
       Pin(288, 288, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
     "1D-BINARY carat desc unfiltered" ->
-      Pin(22, 22, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
+      Pin(19, 19, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
     "1D-RERANK carat desc unfiltered" ->
-      Pin(82, 82, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
+      Pin(76, 76, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
     "1D-BASELINE carat asc cut=Ideal" ->
-      Pin(9, 9, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
+      Pin(8, 8, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
     "1D-BINARY carat asc cut=Ideal" ->
-      Pin(29, 29, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
+      Pin(26, 26, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
     "1D-RERANK carat asc cut=Ideal" ->
-      Pin(21, 21, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
+      Pin(12, 12, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
     "1D-BASELINE carat desc cut=Ideal" ->
       Pin(219, 219, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "1D-BINARY carat desc cut=Ideal" ->
-      Pin(19, 19, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
+      Pin(18, 18, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "1D-RERANK carat desc cut=Ideal" ->
       Pin(60, 60, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "MD-BASELINE [price - 0.5 carat] unfiltered" ->
@@ -141,7 +141,7 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.5 carat] unfiltered" ->
       Pin(116, 31, 19, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-TA [price - 0.5 carat] unfiltered" ->
-      Pin(2736, 2736, 0, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+      Pin(2730, 2730, 0, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BASELINE [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(114, 66, 48, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BINARY [price - 0.1 carat - 0.5 depth] unfiltered" ->
@@ -149,7 +149,7 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(71, 29, 14, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-TA [price - 0.1 carat - 0.5 depth] unfiltered" ->
-      Pin(1259, 1259, 0, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+      Pin(1246, 1246, 0, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BASELINE [price - 0.5 carat] cut=Ideal" ->
       Pin(160, 47, 37, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-BINARY [price - 0.5 carat] cut=Ideal" ->
@@ -165,15 +165,15 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
       Pin(35, 22, 9, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-TA [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
-      Pin(431, 431, 0, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+      Pin(430, 430, 0, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "1D-BASELINE lwr asc" ->
-      Pin(61, 12, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+      Pin(60, 11, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "1D-BINARY lwr asc" ->
-      Pin(83, 34, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
-    "1D-RERANK lwr asc #1" ->
       Pin(71, 22, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+    "1D-RERANK lwr asc #1" ->
+      Pin(60, 11, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "1D-RERANK lwr asc #2" ->
-      Pin(12, 12, 0, 0, 0, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+      Pin(1, 1, 0, 0, 0, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "MD-BASELINE [lwr]" ->
       Pin(60, 11, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "MD-BINARY [lwr]" ->

@@ -117,7 +117,7 @@ class RankingSpec extends AnyFunSuite {
       (1 to 10).foreach { i =>
         val tp = t(i.toLong, r.between(0.0, 100.0), r.between(1.0, 3.0))
         if (f.score(tp, norm) <= sStar)
-          assert(clip.contains(tp), s"clip at $sStar dropped tuple with score ${f.score(tp, norm)}")
+          assert(clip.toQuery().matches(tp), s"clip at $sStar dropped tuple with score ${f.score(tp, norm)}")
       }
     }
   }

@@ -152,7 +152,7 @@ class CrawlerSpec extends SparkSpec {
   test("property: a crawl through a store holding an overlapping region is still exact") {
     check(Prop.forAll(genQuery, genBox) { (q, region) =>
       val store = new DenseRegionStore
-      store.add(region, db.allTuples.filter(region.contains))
+      store.add(region, db.allTuples.filter(region.toQuery().matches))
       crawlsExactly(q, Some(store))
     })
   }
@@ -160,7 +160,7 @@ class CrawlerSpec extends SparkSpec {
   test("sub-queries inside an indexed region are answered from the store, unbilled") {
     val spike = Box(Map("lwr" -> Interval.point(1.0)))
     val store = new DenseRegionStore
-    store.add(spike, db.allTuples.filter(spike.contains))
+    store.add(spike, db.allTuples.filter(spike.toQuery().matches))
     val conn = new WebDbConn(db)
     val q    = spike.toQuery(WebQuery.all.andCat("cut", Set("Ideal")))
     assert(Crawler.crawlQuery(conn, q, Some(store)).map(_.id).toSet == brute(db, q))

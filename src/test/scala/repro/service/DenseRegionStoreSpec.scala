@@ -108,8 +108,8 @@ class DenseRegionStoreSpec extends SparkSpec {
     val wide  = Box(Map("price" -> Interval(200.0, 1000.0)))
     val empty = Box(Map("carat" -> Interval(9.0, 9.5)))
     val s     = new DenseRegionStore
-    s.add(open, db.allTuples.filter(open.contains))
-    s.add(wide, db.allTuples.filter(wide.contains))
+    s.add(open, db.allTuples.filter(open.toQuery().matches))
+    s.add(wide, db.allTuples.filter(wide.toQuery().matches))
     s.add(empty, Seq.empty)
     val dir = Files.createTempDirectory("qr2-store-order").toString
     s.persist(spark, dir)
@@ -117,7 +117,7 @@ class DenseRegionStoreSpec extends SparkSpec {
     assert(loaded.allEntries.map(_.box) == Vector(open, wide, empty))
     // Any containing region yields the same set: every tuple matching the query.
     def ids(b: Box): Option[Vector[Long]] = loaded.content(b.toQuery()).map(_.map(_.id).sorted)
-    def matching(b: Box): Option[Vector[Long]] = Some(db.allTuples.filter(b.contains).map(_.id).sorted)
+    def matching(b: Box): Option[Vector[Long]] = Some(db.allTuples.filter(b.toQuery().matches).map(_.id).sorted)
     val inBoth = Box(Map("price" -> Interval(300.0, 400.0)))
     assert(ids(inBoth) == matching(inBoth), "inside both regions")
     val inWide = Box(Map("price" -> Interval(200.0, 400.0)))

@@ -6,9 +6,10 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.{Gen, Prop, Test}
 import repro.core.DensePolicy
 import repro.crawl.Crawler
-import repro.service.DenseRegionStore
+import repro.service.{Algo, DenseRegionStore, OneDRank, Qr2Service}
 import repro.{SparkSpec, TestFixtures}
 
+import scala.collection.mutable
 import scala.util.Random
 
 /** Top-k interface semantics and the Local ≡ Spark backend equivalence —
@@ -64,6 +65,64 @@ class WebDbSpec extends SparkSpec {
     val res = new WebDbConn(db).topK(WebQuery.all.and("price", Interval(10.0, 5.0)))
     assert(res.isEmpty && !res.overflow)
   }
+
+  // -------------------------------------------------------------------
+  // The advertised domains: a query missing them is answered locally.
+  // -------------------------------------------------------------------
+
+  test("a query that is unsatisfiable or misses a numeric domain is answered empty, unbilled") {
+    val db = TestFixtures.diamonds(spark)
+    val cases = Seq(
+      "carat in (0.1, 0.15]"  -> WebQuery.all.and("carat", Interval.openClosed(0.1, 0.15)),
+      "carat above 5.0"       -> WebQuery.all.and("carat", Interval.openClosed(5.0, 6.0)),
+      "an empty interval"     -> WebQuery.all.and("price", Interval.open(500.0, 500.0)),
+      "an empty category set" -> WebQuery.all.andCat("cut", Set.empty),
+    )
+    for ((label, q) <- cases) {
+      val conn = new WebDbConn(db)
+      val res  = conn.topK(q)
+      assert(res.isEmpty && !res.overflow, label)
+      assert(conn.acc.queries == 0 && conn.acc.rounds == 0, label)
+    }
+  }
+
+  test("a query touching a domain at its closed end is sent and billed") {
+    val conn = new WebDbConn(TestFixtures.diamonds(spark))
+    val q    = WebQuery.all.and("carat", Interval.openClosed(0.1, 0.2))
+    assert(conn.topK(q) == TestFixtures.diamonds(spark).rawTopK(q))
+    assert(conn.acc.queries == 1 && conn.acc.rounds == 1)
+  }
+
+  test("a batch bills one round of only its queries inside the domains") {
+    val conn = new WebDbConn(TestFixtures.diamonds(spark))
+    val res = conn.batch(Seq(
+      WebQuery.all.and("carat", Interval.openClosed(0.1, 0.15)),
+      WebQuery.all.and("carat", Interval(0.2, 0.3)),
+      WebQuery.all.and("carat", Interval(0.3, 0.4, loIncl = false))))
+    assert(res.head.isEmpty && !res.head.overflow)
+    assert(conn.acc.snapshot.batchSizes == Vector(2))
+  }
+
+  /** A backend that records every request reaching it. */
+  private final class RecordingWebDb(inner: WebDb) extends WebDb {
+    val requests = mutable.ArrayBuffer.empty[WebQuery]
+    def schema: WebSchema = inner.schema
+    def k: Int            = inner.k
+    private[webdb] def rawTopK(q: WebQuery): TopKResponse = { requests += q; inner.rawTopK(q) }
+  }
+
+  for ((name, attr) <- Seq("diamonds" -> "carat", "houses" -> "sqft"))
+    test(s"no request of min/max discovery or a 1D session on $attr reaches the backend outside the domains ($name)") {
+      val db      = new RecordingWebDb(if (name == "diamonds") TestFixtures.diamonds(spark) else TestFixtures.houses(spark))
+      val service = new Qr2Service(db)
+      db.schema.numeric.foreach(service.minMax)
+      for (algo <- Seq(Algo.Baseline, Algo.Binary, Algo.Rerank); asc <- Seq(true, false))
+        service.newSession(WebQuery.all, OneDRank(attr, asc), algo).getPage(10)
+      assert(db.requests.nonEmpty)
+      val outside = db.requests.filter(q =>
+        q.unsatisfiable || q.num.exists { case (a, iv) => iv.intersect(db.schema.numDomains(a)).isEmpty })
+      assert(outside.size == 0, s"of ${db.requests.size} requests, e.g. ${outside.headOption}")
+    }
 
   test("SparkWebDb ≡ LocalWebDb on 40 random queries (diamonds)") {
     val sf      = 0.005
