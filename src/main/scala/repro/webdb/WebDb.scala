@@ -134,7 +134,7 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   def batch(qs: Seq[WebQuery], crawl: Boolean = false): Seq[TopKResponse] = {
     require(qs.nonEmpty, "empty batch")
     for (q <- qs.distinct if !memo.contains(q)) {
-      val local = if (outsideDomain(q)) Some(Vector.empty) else content(q).filter(_.size <= k)
+      val local = if (knownEmpty(q)) Some(Vector.empty) else content(q).filter(_.size <= k)
       local.foreach(ts => memo.update(q, TopKResponse(ts, overflow = false)))
     }
     val misses = qs.distinct.filterNot(memo.contains)
@@ -149,9 +149,12 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
     qs.map(memo)
   }
 
-  /** True when `q` is unsatisfiable or misses an attribute's domain. */
-  private def outsideDomain(q: WebQuery): Boolean =
-    q.unsatisfiable || q.num.exists { case (a, iv) => schema.numDomains.get(a).exists(iv.intersect(_).isEmpty) }
+  /** True when the schema shows `q` matches no tuple: `q` is unsatisfiable
+    * or its interval on some attribute misses that attribute's domain.
+    */
+  private def knownEmpty(q: WebQuery): Boolean =
+    q.unsatisfiable ||
+      q.num.exists { case (a, iv) => schema.numDomains.get(a).exists(iv.intersect(_).isEmpty) }
 
   /** Every tuple matching `q`, if `q` was answered without overflow or
     * lies inside a complete region.

@@ -87,15 +87,16 @@ class WebDbSpec extends SparkSpec {
   }
 
   test("a query touching a domain at its closed end is sent and billed") {
-    val conn = new WebDbConn(TestFixtures.diamonds(spark))
+    val db   = TestFixtures.diamonds(spark)
+    val conn = new WebDbConn(db)
     val q    = WebQuery.all.and("carat", Interval.openClosed(0.1, 0.2))
-    assert(conn.topK(q) == TestFixtures.diamonds(spark).rawTopK(q))
+    assert(conn.topK(q) == db.rawTopK(q))
     assert(conn.acc.queries == 1 && conn.acc.rounds == 1)
   }
 
   test("a batch bills one round of only its queries inside the domains") {
     val conn = new WebDbConn(TestFixtures.diamonds(spark))
-    val res = conn.batch(Seq(
+    val res  = conn.batch(Seq(
       WebQuery.all.and("carat", Interval.openClosed(0.1, 0.15)),
       WebQuery.all.and("carat", Interval(0.2, 0.3)),
       WebQuery.all.and("carat", Interval(0.3, 0.4, loIncl = false))))
