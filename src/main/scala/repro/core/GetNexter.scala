@@ -5,8 +5,8 @@ import repro.webdb.WebTuple
 /** The paper's "Get-Next" primitive: each call discovers the next-best
   * tuple under the user-specified ranking function, issuing as few queries
   * to the hidden web database as possible. Implementations keep per-session
-  * state (seen tuples, tie-group queues, resolved regions) so repeated
-  * calls are incremental.
+  * state (seen tuples, tie-group queues) so repeated calls are
+  * incremental; the session's complete regions live in its `WebDbConn`.
   */
 trait GetNexter {
 

@@ -3,21 +3,11 @@ package repro.core
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField, StructType}
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
-import repro.core.expr.{LinearScore, SimplifyLinearScore}
 import repro.webdb.{WebSchema, WebTuple}
 
 /** The distributed re-rank operator: applies an arbitrary user ranking
   * function to a result set fetched from a web database as a DataFrame
-  * transformation — score column, stable (score, id) sort, optional top-h.
-  *
-  * Two equivalent paths are provided (and tested against each other and
-  * against the DuckDB oracle):
-  *
-  *  - [[scoreColumn]] — plain Column arithmetic (the production path);
-  *  - [[rerankSql]] — through the custom Catalyst expression
-  *    [[repro.core.expr.LinearScore]], registered as the SQL function
-  *    `qr2_score` and simplified by the injected optimizer rule
-  *    [[repro.core.expr.SimplifyLinearScore]].
+  * transformation — score column, then a stable (score, id) sort.
   */
 object Reranker {
 
@@ -47,51 +37,6 @@ object Reranker {
   ): DataFrame =
     df.withColumn(ScoreCol, scoreColumn(f, norm))
       .orderBy(col(ScoreCol).asc, col(idCol).asc)
-
-  /** Top-h of the re-ranked result set (one user page). */
-  def topH(
-      df: DataFrame,
-      f: LinearRanking,
-      norm: Normalizer,
-      h: Int,
-      idCol: String = "id",
-  ): DataFrame = rerank(df, f, norm, idCol).limit(h)
-
-  /** The `qr2_score(...)` SQL call text for a ranking function. */
-  def sqlScoreExpr(f: LinearRanking, norm: Normalizer): String =
-    f.weights
-      .map { case (a, w) =>
-        val (lo, hi) = norm.minMax(a)
-        s"$w, $lo, $hi, $a"
-      }
-      .mkString("qr2_score(", ", ", ")")
-
-  /** Re-rank through the registered Catalyst expression (SQL path). Call
-    * [[registerExtensions]] on the session first.
-    */
-  def rerankSql(
-      df: DataFrame,
-      f: LinearRanking,
-      norm: Normalizer,
-      idCol: String = "id",
-  ): DataFrame =
-    df.selectExpr("*", s"${sqlScoreExpr(f, norm)} AS $ScoreCol")
-      .orderBy(col(ScoreCol).asc, col(idCol).asc)
-
-  /** Register the `qr2_score` function and inject the simplification rule.
-    * Idempotent; safe to call once per session.
-    */
-  def registerExtensions(spark: SparkSession): Unit = {
-    spark.sessionState.functionRegistry.createOrReplaceTempFunction(
-      "qr2_score",
-      (args: Seq[org.apache.spark.sql.catalyst.expressions.Expression]) =>
-        LinearScore.fromArguments(args),
-      "scala_udf",
-    )
-    if (!spark.experimental.extraOptimizations.contains(SimplifyLinearScore))
-      spark.experimental.extraOptimizations =
-        spark.experimental.extraOptimizations :+ SimplifyLinearScore
-  }
 
   /** Materialize driver-side tuples (e.g. a session's discovered top-h) as
     * a DataFrame so they can be re-ranked / joined / displayed with the

@@ -2,7 +2,6 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *

@@ -1,12 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.core.expr.LinearScore
 import repro.webdb.WebData
 import repro.{Oracle, SparkSpec, TestFixtures}
 
-/** The distributed re-rank operator versus the DuckDB oracle, the SQL path
-  * through the custom Catalyst expression, and the injected optimizer rule.
+/** The distributed re-rank operator versus the DuckDB oracle and the
+  * driver-side score.
   */
 class RerankerSpec extends SparkSpec {
 
@@ -26,7 +25,8 @@ class RerankerSpec extends SparkSpec {
   private def checkAgainstOracle(f: LinearRanking, h: Int): Unit = {
     val norm = TestFixtures.trueNorm(TestFixtures.diamonds(spark, 0.002), f.attrs)
     val got = Reranker
-      .topH(dia, f, norm, h)
+      .rerank(dia, f, norm)
+      .limit(h)
       .select(col("id"), col("price"), col("carat"))
     Oracle.assertEquivalent(
       got,
@@ -64,68 +64,26 @@ class RerankerSpec extends SparkSpec {
     )
   }
 
-  test("SQL path (qr2_score expression) produces the same ranking as the Column path") {
-    Reranker.registerExtensions(spark)
-    val f    = LinearRanking(Seq("price" -> 1.0, "carat" -> -0.5))
-    val norm = TestFixtures.trueNorm(TestFixtures.diamonds(spark, 0.002), f.attrs)
-    val a    = Reranker.rerank(dia, f, norm).select("id").collect().map(_.getLong(0)).toSeq
-    val b    = Reranker.rerankSql(dia, f, norm).select("id").collect().map(_.getLong(0)).toSeq
-    assert(a == b)
-  }
-
-  test("qr2_score scores agree with the driver-side LinearRanking.score") {
-    Reranker.registerExtensions(spark)
-    val f    = LinearRanking(Seq("price" -> 1.0, "carat" -> -0.5))
+  test("rerank scores equal the driver-side LinearRanking.score exactly") {
     val db   = TestFixtures.diamonds(spark, 0.002)
-    val norm = TestFixtures.trueNorm(db, f.attrs)
-    val rows = Reranker.rerankSql(dia, f, norm).select("id", Reranker.ScoreCol).collect()
     val byId = db.allTuples.map(t => t.id -> t).toMap
-    rows.take(50).foreach { r =>
-      val expected = f.score(byId(r.getLong(0)), norm)
-      assert(math.abs(r.getDouble(1) - expected) < 1e-9)
+    def norm(f: LinearRanking) = TestFixtures.trueNorm(db, f.attrs)
+    val collapsed = LinearRanking(Seq("price" -> 1.0, "carat" -> 0.7))
+    val cases = Seq(
+      LinearRanking(Seq("price" -> 1.0, "carat" -> -0.5)),
+      LinearRanking(Seq("price" -> 1.0, "carat" -> -0.1, "depth" -> -0.5)),
+      LinearRanking(Seq("price" -> -1.0, "carat" -> -0.5)),
+      LinearRanking(Seq("price" -> 0.0, "lwr" -> 0.7, "depth" -> -0.3)),
+    ).map(f => f -> norm(f)) :+
+      (collapsed -> Normalizer(norm(collapsed).minMax + ("carat" -> (5.0, 5.0))))
+    cases.foreach { case (f, n) =>
+      val rows = Reranker.rerank(dia, f, n).select("id", Reranker.ScoreCol).collect()
+      assert(rows.length == byId.size)
+      rows.foreach { r =>
+        val expected = f.score(byId(r.getLong(0)), n)
+        assert(r.getDouble(1) == expected, s"$f, id ${r.getLong(0)}")
+      }
     }
-  }
-
-  test("optimizer rule prunes zero-weight terms from LinearScore") {
-    Reranker.registerExtensions(spark)
-    val df = dia.selectExpr(
-      "id",
-      "qr2_score(1.0, 200.0, 200000.0, price, 0.0, 0.2, 5.0, carat) AS s",
-    )
-    val scores = df.queryExecution.optimizedPlan.expressions
-      .flatMap(_.collect { case l: LinearScore => l })
-    assert(scores.nonEmpty, "LinearScore missing from the optimized plan")
-    assert(scores.forall(_.children.size == 1),
-      s"zero-weight term not pruned: ${scores.map(_.children.size)}")
-    // Semantics unchanged: the pruned plan computes the same scores.
-    val full = dia.selectExpr("id", "qr2_score(1.0, 200.0, 200000.0, price) AS s")
-    assert(df.orderBy("id").collect().toSeq == full.orderBy("id").collect().toSeq)
-  }
-
-  test("optimizer rule prunes collapsed-range terms") {
-    Reranker.registerExtensions(spark)
-    val df = dia.selectExpr("id", "qr2_score(1.0, 200.0, 200000.0, price, 0.7, 5.0, 5.0, carat) AS s")
-    val scores = df.queryExecution.optimizedPlan.expressions
-      .flatMap(_.collect { case l: LinearScore => l })
-    assert(scores.forall(_.children.size == 1))
-  }
-
-  test("LinearScore is null-propagating on nullable inputs") {
-    Reranker.registerExtensions(spark)
-    import spark.implicits._
-    val df = Seq((1L, Some(10.0)), (2L, Option.empty[Double]), (3L, Some(20.0)))
-      .toDF("id", "x")
-      .selectExpr("id", "qr2_score(1.0, 0.0, 100.0, x) AS s")
-    val rows = df.orderBy("id").collect()
-    assert(rows(0).getDouble(1) == 0.1)
-    assert(rows(1).isNullAt(1))
-    assert(rows(2).getDouble(1) == 0.2)
-  }
-
-  test("qr2_score rejects a malformed argument list") {
-    Reranker.registerExtensions(spark)
-    val ex = intercept[Exception](dia.selectExpr("qr2_score(1.0, 2.0, price)").collect())
-    assert(ex.getMessage.toLowerCase.contains("qr2_score") || ex.getCause != null)
   }
 
   test("tuplesToDataFrame round-trips tuples with all public attributes") {
