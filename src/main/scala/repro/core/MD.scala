@@ -10,10 +10,39 @@ object MDAlgorithm {
   val TieEps = 1e-9
 }
 
-/** Shared skeleton of the MD get-next strategies: candidate bookkeeping,
-  * the lower rank-contour of the session, and the parallel round executor.
-  * A get-next runs [[search]], which improves the best candidate until no
-  * box can beat it, and emits that candidate.
+/** The seen, not-yet-emitted tuples of a session in (score, id) order —
+  * the output order of the ground truth, so ties resolve deterministically
+  * — plus the ids already emitted, which never come back, and the score of
+  * the last emitted tuple.
+  */
+final class Candidates(score: WebTuple => Double) {
+  private val pending = mutable.TreeMap.empty[(Double, Long), WebTuple]
+  private val emitted = mutable.HashSet.empty[Long]
+  private var last    = Double.NegativeInfinity
+
+  /** Keep the tuples of `ts` that were not emitted yet. */
+  def add(ts: IterableOnce[WebTuple]): Unit =
+    ts.iterator.filterNot(t => emitted.contains(t.id)).foreach(t => pending.update((score(t), t.id), t))
+
+  /** The best candidate with its score. */
+  def best: Option[(Double, WebTuple)] = pending.headOption.map { case ((s, _), t) => (s, t) }
+
+  /** Remove and return the best candidate; it is never added again. */
+  def emit(): Option[WebTuple] = best.map { case (s, t) =>
+    pending.remove((s, t.id)); emitted += t.id; last = s; t
+  }
+
+  /** Score of the last emitted tuple, −∞ before the first. */
+  def lastEmitted: Double = last
+
+  /** Forget the candidates; the emitted ids are kept. */
+  def clear(): Unit = pending.clear()
+}
+
+/** Shared skeleton of the MD get-next strategies: the session's
+  * [[Candidates]] and the parallel round executor. A get-next runs
+  * [[search]], which improves the best candidate until no box can beat it,
+  * and emits that candidate.
   */
 abstract class MDAlgorithm(
     val conn: WebDbConn,
@@ -23,8 +52,7 @@ abstract class MDAlgorithm(
     policy: DensePolicy,
 ) extends GetNexter {
 
-  /** Ids already returned to the user. */
-  private val emitted: mutable.LinkedHashSet[Long] = mutable.LinkedHashSet.empty
+  protected val candidates = new Candidates(f.score(_, norm))
 
   /** Search box: the advertised domains of the ranking attributes clipped
     * by any numeric constraint of the user filter on those attributes.
@@ -41,39 +69,15 @@ abstract class MDAlgorithm(
   protected def widestDim(b: Box): (String, Double) =
     b.dims.map { case (a, iv) => (a, iv.width / math.max(conn.schema.numDomains(a).width, 1e-12)) }.maxBy(_._2)
 
-  /** Score of the most recently emitted tuple. Every tuple scoring strictly
-    * below it has already been emitted (the output is in score order), so a
-    * box whose *maximum* achievable score is below it can only contain seen
-    * tuples — [[exhaustedBelowContour]] prunes such boxes without a query.
-    * This is the lower rank-contour of the session's history.
+  /** The rank-contour `s*`: the best candidate's score (plus the tie
+    * tolerance), or +∞ before any candidate.
     */
-  private var lastEmittedScore: Double = Double.NegativeInfinity
-
-  protected def exhaustedBelowContour(b: Box): Boolean =
-    RankContour.maxScore(f, b, norm) < lastEmittedScore
-
-  /** Best unemitted candidate found so far by the running get-next. */
-  private var best: Option[(Double, WebTuple)] = None
-
-  /** The rank-contour `s*` of the running get-next: the best candidate's
-    * score (plus the tie tolerance), or +∞ before any candidate.
-    */
-  protected def sStar: Double = best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
-
-  /** Keep the best unemitted tuple of `ts` in (score, id)-lexicographic
-    * order — the output order of the ground truth, so ties resolve
-    * deterministically.
-    */
-  private def consider(ts: Seq[WebTuple]): Unit =
-    for (t <- ts if !emitted.contains(t.id)) {
-      val s = f.score(t, norm)
-      if (best.forall { case (bs, bt) => s < bs || (s == bs && t.id < bt.id) }) best = Some((s, t))
-    }
+  protected def sStar: Double =
+    candidates.best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
 
   final def getNext(): Option[WebTuple] = {
-    best = None
     search()
-    best.map { case (s, t) => emitted += t.id; lastEmittedScore = s; t }
+    candidates.emit()
   }
 
   /** Improve the best candidate until no unexplored box can beat it. */
@@ -93,13 +97,13 @@ abstract class MDAlgorithm(
     while (batch.size < WebDbConn.MaxPar && boxes.hasNext) {
       val box = boxes.next()
       val known = policy.content(conn, box.toQuery(base))
-      if (known.isDefined) consider(known.get) else batch += box
+      if (known.isDefined) candidates.add(known.get) else batch += box
     }
     if (batch.nonEmpty) {
       val responses = conn.batch(batch.toSeq.map(_.toQuery(base)))
       batch.lazyZip(responses).foreach { (box, res) =>
-        consider(res.tuples)
-        if (res.overflow && widestDim(box)._2 <= policy.widthMD) consider(policy.crawl(conn, base, box))
+        candidates.add(res.tuples)
+        if (res.overflow && widestDim(box)._2 <= policy.widthMD) candidates.add(policy.crawl(conn, base, box))
         else if (res.overflow) overflow(box)
       }
     }
@@ -114,6 +118,12 @@ abstract class MDAlgorithm(
   * midpoint of their (relatively) widest dimension. The [[DensePolicy]]
   * decides how a box that is still overflowing at its give-up width is
   * resolved and whether indexed regions resolve boxes locally.
+  *
+  * The queue and the candidates last for the whole session, so a get-next
+  * resumes where the previous one stopped and nothing is re-walked. After
+  * the get-next that emitted score `s`, every queued box has a best score
+  * of at least `s` plus the tie tolerance, so none lies below the
+  * session's lower rank-contour.
   */
 class MDBranchAndBound(
     conn: WebDbConn,
@@ -127,15 +137,15 @@ class MDBranchAndBound(
   private implicit val entryOrd: Ordering[Entry] =
     Ordering.by((e: Entry) => (-e.ms, -e.serial)) // max-heap: lowest ms, then oldest, first
   private var serial = 0L
+  private val pq     = mutable.PriorityQueue.empty[Entry]
+
+  private def push(b: Box): Unit =
+    if (!b.isEmpty) { serial += 1; pq.enqueue(Entry(minScoreOf(b), serial, b)) }
+
+  push(initialBox)
 
   protected def search(): Unit = {
-    val pq = mutable.PriorityQueue.empty[Entry]
-    def push(b: Box): Unit =
-      if (!b.isEmpty && !exhaustedBelowContour(b)) {
-        serial += 1; pq.enqueue(Entry(minScoreOf(b), serial, b))
-      }
     def viable: Boolean = pq.nonEmpty && pq.head.ms < sStar
-    push(initialBox)
     // The iterator is lazy: each pop re-checks `s*` as local hits tighten it.
     while (viable)
       round(Iterator.continually(pq).takeWhile(_ => viable).map(_.dequeue().box)) { box =>
@@ -179,7 +189,20 @@ final class MDRerank(
 final class MDBaseline(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: Normalizer)
     extends MDAlgorithm(conn, base, f, norm, DensePolicy.Unindexed) {
 
+  /** Score of the most recently emitted tuple. Every tuple scoring strictly
+    * below it has already been emitted (the output is in score order), so a
+    * box whose *maximum* achievable score is below it can only contain seen
+    * tuples and is pruned without a query. This is the lower rank-contour
+    * of the session's history.
+    */
+  private def exhaustedBelowContour(b: Box): Boolean =
+    RankContour.maxScore(f, b, norm) < candidates.lastEmitted
+
+  /** Starts from the root with no candidates on every get-next: keeping
+    * them across get-nexts doubles the queries of the BASELINE pins.
+    */
   protected def search(): Unit = {
+    candidates.clear()
     var work = Vector(initialBox).filterNot(b => b.isEmpty || exhaustedBelowContour(b))
     while (work.nonEmpty) {
       val (now, later) = work.splitAt(WebDbConn.MaxPar)

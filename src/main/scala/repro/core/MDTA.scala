@@ -3,8 +3,6 @@ package repro.core
 import repro.service.DenseRegionStore
 import repro.webdb.{WebDbConn, WebQuery, WebTuple}
 
-import scala.collection.mutable
-
 /** MD-TA — Fagin's Threshold Algorithm (Fagin/Lotem/Naor) implemented over
   * the hidden web database, footnote 3 of the QR2 paper: sorted access on
   * each ranking attribute is provided by a dedicated [[OneDRerank]]
@@ -25,8 +23,6 @@ final class MDTA(
     val store: DenseRegionStore = new DenseRegionStore,
 ) extends GetNexter {
 
-  private val emitted: mutable.LinkedHashSet[Long] = mutable.LinkedHashSet.empty
-
   private final class Access(val attr: String, val w: Double) {
     val it = new OneDRerank(conn, base, attr, asc = w > 0, store)
     /** Contribution of a still-unseen tuple on this attribute can be no
@@ -46,35 +42,21 @@ final class MDTA(
     }
   }
 
-  private val accesses          = f.weights.map { case (a, w) => new Access(a, w) }
-  private val pool              = mutable.LinkedHashMap.empty[Long, WebTuple]
-  private var poolComplete      = false
+  private val accesses     = f.weights.map { case (a, w) => new Access(a, w) }
+  private val candidates   = new Candidates(f.score(_, norm))
+  private var poolComplete = false
 
   private def tau: Double = accesses.map(_.frontierTerm).sum
 
-  private def bestCandidate: Option[(Double, WebTuple)] =
-    pool.valuesIterator
-      .filterNot(t => emitted.contains(t.id))
-      .map(t => (f.score(t, norm), t))
-      .minByOption { case (s, t) => (s, t.id) }
-
+  /** Emit the best candidate once it scores within `τ`, or once the pool is
+    * complete; until then, one round of sorted accesses (round-robin over
+    * the attributes) at a time.
+    */
   def getNext(): Option[WebTuple] = {
-    while (true) {
-      val cand = bestCandidate
-      if (poolComplete)
-        return cand.map { case (_, t) => emitted += t.id; t }
-      cand match {
-        case Some((s, t)) if s <= tau + MDAlgorithm.TieEps =>
-          emitted += t.id
-          return Some(t)
-        case _ =>
-          // One round of sorted accesses (round-robin over the attributes).
-          accesses.filterNot(_.done).foreach { acc =>
-            acc.advance().foreach(t => pool.update(t.id, t))
-          }
-          if (accesses.exists(_.done)) poolComplete = true
-      }
+    while (!poolComplete && !candidates.best.exists(_._1 <= tau + MDAlgorithm.TieEps)) {
+      accesses.filterNot(_.done).foreach(acc => candidates.add(acc.advance()))
+      if (accesses.exists(_.done)) poolComplete = true
     }
-    sys.error("unreachable")
+    candidates.emit()
   }
 }

@@ -100,13 +100,13 @@ object DbStats {
   *
   * The connection is QR2's *session variable*, which stores "the tuples
   * that are already seen … to accelerate … subsequent get-next operations"
-  * (§II-A). An exact memo answers repeated queries. Two sets of
-  * [[CompleteRegions]], the billed responses that did not overflow and the
-  * finished crawls, answer the queries inside them: when at most k region
-  * tuples match, they are the answer, with `overflow = false`, exactly as
-  * the web database would return it. Otherwise the query is sent: a
-  * crawled region lacks the hidden rank order. Before either, the schema
-  * answers: a query that is unsatisfiable, or whose interval on some
+  * (§II-A). An exact memo answers repeated queries. The
+  * [[CompleteRegions]] of the billed responses that did not overflow and of
+  * the finished crawls answer the queries inside them: when at most k
+  * region tuples match, they are the answer, with `overflow = false`,
+  * exactly as the web database would return it. Otherwise the query is
+  * sent: a crawled region lacks the hidden rank order. Before either, the
+  * schema answers: a query that is unsatisfiable, or whose interval on some
   * attribute misses that attribute's advertised domain, matches no tuple
   * (the [[WebSchema]] contract), so its answer is the empty page. Local
   * answers are not billed.
@@ -116,8 +116,7 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   def k: Int = db.k
 
   private val memo    = mutable.HashMap.empty[WebQuery, TopKResponse]
-  // Complete regions: non-overflowing responses (at most k tuples each) and crawls.
-  private val answered, crawls = new CompleteRegions
+  private val regions = new CompleteRegions // non-overflowing responses and crawls
 
   /** Number of distinct answers held by the memo. */
   def memoSize: Int = memo.size
@@ -143,7 +142,7 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
       misses.foreach { q =>
         val res = db.rawTopK(q)
         memo.update(q, res)
-        if (!res.overflow) answered.add(q, res.tuples.toVector)
+        if (!res.overflow) regions.add(q, res.tuples.toVector)
       }
     }
     qs.map(memo)
@@ -159,19 +158,16 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   /** Every tuple matching `q`, if `q` was answered without overflow or
     * lies inside a complete region.
     */
-  def content(q: WebQuery): Option[Vector[WebTuple]] = memo.get(q) match {
-    case Some(res) if !res.overflow => Some(res.tuples.toVector)
-    case None                       => crawls.content(q).orElse(answered.content(q))
-    case Some(_)                    => crawls.content(q) // only a crawl holds an overflowing query's > k tuples
-  }
+  def content(q: WebQuery): Option[Vector[WebTuple]] =
+    memo.get(q).filterNot(_.overflow).map(_.tuples.toVector).orElse(regions.content(q))
 
   /** 1D: [[CompleteRegions.coverageFrom]] over the session's regions. */
   def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[CompleteRegions.Coverage] =
-    CompleteRegions.furthest(Seq(answered, crawls).flatMap(_.coverageFrom(base, attr, asc, lo)))
+    regions.coverageFrom(base, attr, asc, lo)
 
   /** Register a finished crawl: `q` with every tuple matching it. */
   def crawled(q: WebQuery, tuples: Vector[WebTuple]): Unit = {
-    crawls.add(q, tuples)
+    regions.add(q, tuples)
     acc.crawled(tuples.size)
   }
 }
