@@ -13,7 +13,8 @@ import repro.{SparkSpec, TestFixtures}
 class CostPinSpec extends SparkSpec {
   import CostPinSpec.Pin
 
-  private lazy val db = TestFixtures.diamonds(spark)
+  private lazy val db     = TestFixtures.diamonds(spark)
+  private lazy val houses = TestFixtures.houses(spark)
 
   private def twoPages(conn: WebDbConn, g: GetNexter): Pin = {
     val ids = (g.next(10) ++ g.next(10)).map(_.id)
@@ -21,9 +22,9 @@ class CostPinSpec extends SparkSpec {
     Pin(a.queries, a.rounds, a.parallelRounds, a.crawlQueries, a.crawlTuples, ids)
   }
 
-  private def pin(name: String)(mk: WebDbConn => GetNexter): Unit =
+  private def pin(name: String, on: => LocalWebDb = db)(mk: WebDbConn => GetNexter): Unit =
     test(s"$name costs exactly its pinned counts") {
-      val conn = new WebDbConn(db)
+      val conn = new WebDbConn(on)
       assert(twoPages(conn, mk(conn)) == expected(name))
     }
 
@@ -52,6 +53,15 @@ class CostPinSpec extends SparkSpec {
     pin(s"1D-BASELINE carat $dir $label")(c => new OneDBaseline(c, base, "carat", asc))
     pin(s"1D-BINARY carat $dir $label")(c => new OneDBinary(c, base, "carat", asc))
     pin(s"1D-RERANK carat $dir $label")(c => new OneDRerank(c, base, "carat", asc, new DenseRegionStore))
+  }
+
+  // 1D on houses price under a zip filter: price follows the hidden ranking,
+  // so each probe returns the next values of the order.
+  for (zip <- Seq("90000", "90001"); asc <- Seq(true, false)) {
+    val base = WebQuery.all.andCat("zip", Set(zip))
+    pin(s"1D-RERANK houses price ${if (asc) "asc" else "desc"} zip=$zip", houses) { c =>
+      new OneDRerank(c, base, "price", asc, new DenseRegionStore)
+    }
   }
 
   for {
@@ -133,6 +143,14 @@ class CostPinSpec extends SparkSpec {
       Pin(18, 18, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "1D-RERANK carat desc cut=Ideal" ->
       Pin(60, 60, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
+    "1D-RERANK houses price asc zip=90000" ->
+      Pin(103, 103, 0, 0, 0, Seq(977, 2360, 3555, 3237, 4189, 574, 2537, 3627, 253, 2173, 2308, 1549, 2992, 4068, 3760, 3971, 2145, 1758, 386, 3351)),
+    "1D-RERANK houses price desc zip=90000" ->
+      Pin(23, 23, 0, 0, 0, Seq(3705, 3248, 4108, 869, 1001, 2189, 72, 2909, 912, 1276, 2731, 3286, 4156, 4169, 1610, 1007, 694, 3750, 1003, 3279)),
+    "1D-RERANK houses price asc zip=90001" ->
+      Pin(114, 114, 0, 0, 0, Seq(1067, 1624, 4861, 3063, 2681, 3832, 3991, 2538, 4993, 4490, 2601, 4249, 711, 292, 4701, 809, 2413, 4397, 2118, 3234)),
+    "1D-RERANK houses price desc zip=90001" ->
+      Pin(11, 11, 0, 0, 0, Seq(1697, 4315, 2886, 4308, 2201, 2365, 4810, 4835, 484, 4414, 2285, 4768, 993, 675, 943, 4227, 4872, 634, 902, 3103)),
     "MD-BASELINE [price - 0.5 carat] unfiltered" ->
       Pin(241, 43, 41, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BINARY [price - 0.5 carat] unfiltered" ->
