@@ -152,7 +152,14 @@ object Experiments {
   // Table 4 — §III-B "MD" scenario: weight combinations × dimensionality
   // -------------------------------------------------------------------
 
-  final case class T4Row(ranking: String, algo: String, queries: Long, crawlQueries: Long, crawlBound: Long)
+  final case class T4Row(
+      ranking: String,
+      algo: String,
+      queries: Long,
+      rounds: Long,
+      crawlQueries: Long,
+      crawlBound: Long,
+  )
 
   def table4(spark: SparkSession, sf: Double = benchSfSmall): Seq[T4Row] = {
     val db = WebData.diamondsLocal(spark, sf)
@@ -174,14 +181,14 @@ object Experiments {
       (algoName, algo) <- algos
     } yield {
       val s = page(new Qr2Service(db), WebQuery.all, rank, algo)
-      T4Row(label, algoName, s.queries, s.crawlQueries, s.crawlLowerBound(db.k))
+      T4Row(label, algoName, s.queries, s.rounds, s.crawlQueries, s.crawlLowerBound(db.k))
     }
   }
 
   def report4(rows: Seq[T4Row]): String = render(
     "Table 4 — MD top-10 query cost by ranking function",
-    Seq("ranking", "algo", "queries", CrawlHeader),
-    rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
+    Seq("ranking", "algo", "queries", "rounds", CrawlHeader),
+    rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, r.rounds.toString, crawl(r.crawlQueries, r.crawlBound))),
   )
 
   // -------------------------------------------------------------------

@@ -81,9 +81,26 @@ abstract class OneDAlgorithm(
   /** Width of the key domain (for relative density thresholds). */
   protected final def domainWidth: Double = math.max(ks.keyDomain.width, 1e-12)
 
-  /** Probe `base ∧ attr ∈ raw(kIv)` through the accounted connection. */
-  protected final def probe(kIv: Interval): TopKResponse =
-    conn.topK(base.and(attr, ks.toRaw(kIv)))
+  /** (key, id) of every tuple a probe returned, for the searcher's
+    * lifetime, when the policy narrows to observed keys: each is a known
+    * matching key.
+    */
+  private val seen = mutable.TreeSet.empty[(Double, Long)]
+
+  /** The seen keys beyond `lo`, ascending, one per seen tuple. */
+  protected final def seenBeyond(lo: Double): Iterator[Double] =
+    seen.iteratorFrom((lo, Long.MaxValue)).map(_._1).dropWhile(_ <= lo)
+
+  /** Probe `base ∧ attr ∈ raw(kIv)` for every key interval, in one round
+    * through the accounted connection.
+    */
+  protected final def probes(kIvs: Seq[Interval]): Seq[TopKResponse] = {
+    val rs = conn.batch(kIvs.map(kIv => base.and(attr, ks.toRaw(kIv))))
+    if (policy.observedMin) for (r <- rs; t <- r.tuples) seen += ((ks.key(t.num(attr)), t.id))
+    rs
+  }
+
+  protected final def probe(kIv: Interval): TopKResponse = probes(Seq(kIv)).head
 
   protected final def minKey(res: TopKResponse): Double =
     res.tuples.iterator.map(t => ks.key(t.num(attr))).min
@@ -158,10 +175,26 @@ class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, p
     var hi   = ks.keyDomain.hi
     val full = Interval(lo, hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl)
     if (full.isEmpty) return None
-    val first = probe(full)
-    if (first.isEmpty) return None
-    if (!first.overflow) return Some(minKey(first))
-    if (policy.observedMin) hi = minKey(first)
+    if (seenBeyond(lo).hasNext) {
+      // A prefix `(lo, c]` that does not overflow holds every tuple of its
+      // stretch, so its smallest key is the answer. When all overflow, the
+      // smallest seen key is a matching bound and the full probe is moot;
+      // if the round saw a key below its narrowest end, that key's prefix
+      // is probed once more.
+      val ends = prefixEnds(lo)
+      if (ends.nonEmpty) probes(ends.map(Interval.openClosed(lo, _))).find(!_.overflow).foreach(r => return Some(minKey(r)))
+      hi = seenBeyond(lo).next()
+      if (ends.nonEmpty && hi < ends.last) {
+        val res = probe(Interval.openClosed(lo, hi))
+        if (!res.overflow) return Some(minKey(res))
+        hi = minKey(res)
+      }
+    } else {
+      val first = probe(full)
+      if (first.isEmpty) return None
+      if (!first.overflow) return Some(minKey(first))
+      if (policy.observedMin) hi = minKey(first)
+    }
     // Invariant: (lo, hi] contains at least one matching tuple — with the
     // observed-min shortcut, `hi` itself is a matching key.
     while (true) {
@@ -185,6 +218,17 @@ class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, p
       else hi = if (policy.observedMin) minKey(res) else mid
     }
     sys.error("unreachable")
+  }
+
+  /** Ends of the prefixes to probe beyond `lo`: of the distinct seen keys
+    * `c_1 < … < c_m` holding at most k seen tuples, `c_m`, `c_⌈m/2⌉` and
+    * `c_1`, widest first. A prefix holding more than k seen tuples
+    * overflows for sure and is not sent.
+    */
+  private def prefixEnds(lo: Double): Seq[Double] = {
+    val keys = seenBeyond(lo).take(conn.k + 1).toVector
+    val cs   = (if (keys.size > conn.k) keys.takeWhile(_ < keys.last) else keys).distinct
+    if (cs.isEmpty) Nil else Seq(cs.last, cs((cs.size + 1) / 2 - 1), cs.head).distinct
   }
 }
 

@@ -130,27 +130,27 @@ class CostPinSpec extends SparkSpec {
     "1D-BINARY carat desc unfiltered" ->
       Pin(19, 19, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
     "1D-RERANK carat desc unfiltered" ->
-      Pin(76, 76, 0, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
+      Pin(16, 10, 3, 0, 0, Seq(621, 541, 783, 595, 47, 70, 477, 44, 161, 644, 8, 294, 370, 628, 460, 467, 670, 50, 157, 375)),
     "1D-BASELINE carat asc cut=Ideal" ->
       Pin(8, 8, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
     "1D-BINARY carat asc cut=Ideal" ->
       Pin(26, 26, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
     "1D-RERANK carat asc cut=Ideal" ->
-      Pin(12, 12, 0, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
+      Pin(5, 4, 1, 0, 0, Seq(12, 146, 155, 235, 275, 374, 637, 679, 14, 195, 441, 518, 545, 886, 971, 59, 62, 424, 470, 664)),
     "1D-BASELINE carat desc cut=Ideal" ->
       Pin(219, 219, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "1D-BINARY carat desc cut=Ideal" ->
       Pin(18, 18, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "1D-RERANK carat desc cut=Ideal" ->
-      Pin(60, 60, 0, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
+      Pin(16, 8, 4, 0, 0, Seq(783, 644, 8, 294, 50, 668, 941, 767, 222, 30, 676, 721, 593, 384, 754, 705, 544, 712, 136, 15)),
     "1D-RERANK houses price asc zip=90000" ->
-      Pin(103, 103, 0, 0, 0, Seq(977, 2360, 3555, 3237, 4189, 574, 2537, 3627, 253, 2173, 2308, 1549, 2992, 4068, 3760, 3971, 2145, 1758, 386, 3351)),
+      Pin(24, 18, 3, 0, 0, Seq(977, 2360, 3555, 3237, 4189, 574, 2537, 3627, 253, 2173, 2308, 1549, 2992, 4068, 3760, 3971, 2145, 1758, 386, 3351)),
     "1D-RERANK houses price desc zip=90000" ->
-      Pin(23, 23, 0, 0, 0, Seq(3705, 3248, 4108, 869, 1001, 2189, 72, 2909, 912, 1276, 2731, 3286, 4156, 4169, 1610, 1007, 694, 3750, 1003, 3279)),
+      Pin(11, 7, 2, 0, 0, Seq(3705, 3248, 4108, 869, 1001, 2189, 72, 2909, 912, 1276, 2731, 3286, 4156, 4169, 1610, 1007, 694, 3750, 1003, 3279)),
     "1D-RERANK houses price asc zip=90001" ->
-      Pin(114, 114, 0, 0, 0, Seq(1067, 1624, 4861, 3063, 2681, 3832, 3991, 2538, 4993, 4490, 2601, 4249, 711, 292, 4701, 809, 2413, 4397, 2118, 3234)),
+      Pin(21, 17, 2, 0, 0, Seq(1067, 1624, 4861, 3063, 2681, 3832, 3991, 2538, 4993, 4490, 2601, 4249, 711, 292, 4701, 809, 2413, 4397, 2118, 3234)),
     "1D-RERANK houses price desc zip=90001" ->
-      Pin(11, 11, 0, 0, 0, Seq(1697, 4315, 2886, 4308, 2201, 2365, 4810, 4835, 484, 4414, 2285, 4768, 993, 675, 943, 4227, 4872, 634, 902, 3103)),
+      Pin(14, 8, 3, 0, 0, Seq(1697, 4315, 2886, 4308, 2201, 2365, 4810, 4835, 484, 4414, 2285, 4768, 993, 675, 943, 4227, 4872, 634, 902, 3103)),
     "MD-BASELINE [price - 0.5 carat] unfiltered" ->
       Pin(241, 43, 41, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BINARY [price - 0.5 carat] unfiltered" ->
@@ -158,7 +158,7 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.5 carat] unfiltered" ->
       Pin(116, 31, 19, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-TA [price - 0.5 carat] unfiltered" ->
-      Pin(2730, 2730, 0, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+      Pin(566, 260, 154, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BASELINE [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(114, 66, 48, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BINARY [price - 0.1 carat - 0.5 depth] unfiltered" ->
@@ -166,7 +166,7 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(71, 25, 16, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-TA [price - 0.1 carat - 0.5 depth] unfiltered" ->
-      Pin(1246, 1246, 0, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+      Pin(288, 126, 83, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BASELINE [price - 0.5 carat] cut=Ideal" ->
       Pin(160, 47, 37, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-BINARY [price - 0.5 carat] cut=Ideal" ->
@@ -174,7 +174,7 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.5 carat] cut=Ideal" ->
       Pin(64, 21, 10, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-TA [price - 0.5 carat] cut=Ideal" ->
-      Pin(700, 700, 0, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+      Pin(167, 91, 38, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-BASELINE [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
       Pin(91, 56, 35, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-BINARY [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
@@ -182,7 +182,7 @@ class CostPinSpec extends SparkSpec {
     "MD-RERANK [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
       Pin(33, 19, 10, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-TA [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
-      Pin(430, 430, 0, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+      Pin(129, 65, 32, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "1D-BASELINE lwr asc" ->
       Pin(60, 11, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "1D-BINARY lwr asc" ->

@@ -147,6 +147,41 @@ class OneDSpec extends SparkSpec {
     }
   }
 
+  /** The rounds a connection billed, each as the responses of its requests,
+    * read off a recording backend.
+    */
+  private def rounds(conn: WebDbConn, db: RecordingWebDb): Seq[Seq[TopKResponse]] = {
+    val sizes = conn.acc.snapshot.batchSizes
+    sizes.scanLeft(0)(_ + _).zip(sizes).map { case (from, n) => db.log.slice(from, from + n).map(_._2).toSeq }
+  }
+
+  // Houses price asc follows the hidden ranking, so the keys one probe
+  // returns are the next keys of the order: a seen-key prefix proves them.
+  test("RERANK proves a page prefix from seen keys in a parallel round (houses price asc, zip filter)") {
+    val houses = TestFixtures.houses(spark)
+    val db     = new RecordingWebDb(houses)
+    val conn   = new WebDbConn(db)
+    val base   = WebQuery.all.andCat("zip", Set("90000"))
+    val got    = new OneDRerank(conn, base, "price", asc = true, new DenseRegionStore).next(10)
+    assert(got.map(_.id) == TestFixtures.groundTruth1D(houses, base, "price", asc = true).take(10).map(_.id))
+    assert(rounds(conn, db).exists(r => r.size > 1 && r.exists(!_.overflow)),
+      s"no parallel round answered a prefix: ${conn.acc.snapshot.batchSizes}")
+  }
+
+  // Price desc runs against the hidden ranking: the seen keys beyond the
+  // frontier are far off, every prefix overflows, and the halving starts
+  // below the smallest seen key.
+  test("RERANK emits ground truth when every seen-key prefix overflows (houses price desc, zip filter)") {
+    val houses = TestFixtures.houses(spark)
+    val db     = new RecordingWebDb(houses)
+    val conn   = new WebDbConn(db)
+    val base   = WebQuery.all.andCat("zip", Set("90001"))
+    val got    = new OneDRerank(conn, base, "price", asc = false, new DenseRegionStore).next(20)
+    assert(got.map(_.id) == TestFixtures.groundTruth1D(houses, base, "price", asc = false).take(20).map(_.id))
+    assert(rounds(conn, db).exists(r => r.size > 1 && r.forall(_.overflow)),
+      s"premise: some parallel round overflowed throughout: ${conn.acc.snapshot.batchSizes}")
+  }
+
   test("RERANK second pass over an indexed dense region costs almost nothing") {
     val db    = TestFixtures.diamonds(spark)
     val store = new DenseRegionStore

@@ -9,7 +9,6 @@ import repro.crawl.Crawler
 import repro.service.{Algo, DenseRegionStore, OneDRank, Qr2Service}
 import repro.{SparkSpec, TestFixtures}
 
-import scala.collection.mutable
 import scala.util.Random
 
 /** Top-k interface semantics and the Local ≡ Spark backend equivalence —
@@ -102,14 +101,6 @@ class WebDbSpec extends SparkSpec {
       WebQuery.all.and("carat", Interval(0.3, 0.4, loIncl = false))))
     assert(res.head.isEmpty && !res.head.overflow)
     assert(conn.acc.snapshot.batchSizes == Vector(2))
-  }
-
-  /** A backend that records every request reaching it. */
-  private final class RecordingWebDb(inner: WebDb) extends WebDb {
-    val requests = mutable.ArrayBuffer.empty[WebQuery]
-    def schema: WebSchema = inner.schema
-    def k: Int            = inner.k
-    private[webdb] def rawTopK(q: WebQuery): TopKResponse = { requests += q; inner.rawTopK(q) }
   }
 
   for ((name, attr) <- Seq("diamonds" -> "carat", "houses" -> "sqft"))
