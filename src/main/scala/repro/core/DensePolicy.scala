@@ -27,7 +27,9 @@ import repro.webdb._
   * @param observedMin 1D: narrow an overflowing probe to its smallest
   *                returned key (RERANK's observed-min shortcut, a known
   *                matching bound at least as tight as the midpoint) instead
-  *                of to the probe's own upper end
+  *                of to the probe's own upper end, and prove later keys
+  *                from the keys earlier probes returned
+  *                ([[OneDHalving]]'s prefix round)
   * @param indexed the shared store this policy reads and extends, if any
   */
 sealed abstract class DensePolicy(

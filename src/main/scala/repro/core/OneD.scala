@@ -54,7 +54,10 @@ abstract class OneDAlgorithm(
 
   /** The best matching attribute value (the minimum ascending, the maximum
     * descending), found by the key search alone: the value's tie group is
-    * not fetched. This is all min/max discovery needs.
+    * not fetched. This is all min/max discovery needs. Called on a fresh
+    * searcher it sends no prefix round ([[OneDHalving]]): nothing is seen
+    * yet, and a prefix round would prove values after the first, which
+    * discovery never asks for.
     */
   final def firstValue(): Option[Double] = findNextKey(None).map(ks.raw)
 
@@ -82,8 +85,8 @@ abstract class OneDAlgorithm(
   protected final def domainWidth: Double = math.max(ks.keyDomain.width, 1e-12)
 
   /** (key, id) of every tuple a probe returned, for the searcher's
-    * lifetime, when the policy narrows to observed keys: each is a known
-    * matching key.
+    * lifetime, when the policy narrows to observed keys
+    * ([[DensePolicy.observedMin]]): each is a known matching key.
     */
   private val seen = mutable.TreeSet.empty[(Double, Long)]
 
@@ -150,7 +153,21 @@ final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boo
   *    overflowing probe returned (the observed-min shortcut), crawls and
   *    indexes the sliver once it is narrower than the policy's give-up
   *    width, and answers from — or skips past — indexed stretches at no
-  *    web-DB cost.
+  *    web-DB cost. It also proves the next key from the tuples already
+  *    seen, as below.
+  *
+  * Every key a probe returned is a matching key, and under `Indexed` the
+  * search keeps them for its lifetime (QR2's session variable keeps "the
+  * tuples that are already seen", §II-A). With seen keys beyond `lo`, the
+  * full probe `(lo, max]` gives way to one parallel round of prefixes
+  * `(lo, c]` ending at seen keys ([[prefixEnds]]). The widest prefix that
+  * does not overflow holds every tuple of its stretch, so its smallest key
+  * is the answer; the connection keeps it as a complete region, which
+  * answers the following get-nexts and value groups unbilled. When every
+  * prefix overflows, the halving starts below the smallest seen key, after
+  * one more prefix probe if the round returned a key below its narrowest
+  * end. With no seen key beyond `lo`, the search starts with the full
+  * probe.
   */
 class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, policy: DensePolicy)
     extends OneDAlgorithm(conn, base, attr, asc, policy) {
@@ -176,19 +193,20 @@ class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, p
     val full = Interval(lo, hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl)
     if (full.isEmpty) return None
     if (seenBeyond(lo).hasNext) {
-      // A prefix `(lo, c]` that does not overflow holds every tuple of its
-      // stretch, so its smallest key is the answer. When all overflow, the
-      // smallest seen key is a matching bound and the full probe is moot;
-      // if the round saw a key below its narrowest end, that key's prefix
-      // is probed once more.
+      // A seen key beyond `lo` is a matching bound, so the full probe is
+      // moot: prove the answer from a prefix, or halve below the smallest
+      // seen key.
       val ends = prefixEnds(lo)
-      if (ends.nonEmpty) probes(ends.map(Interval.openClosed(lo, _))).find(!_.overflow).foreach(r => return Some(minKey(r)))
-      hi = seenBeyond(lo).next()
-      if (ends.nonEmpty && hi < ends.last) {
-        val res = probe(Interval.openClosed(lo, hi))
-        if (!res.overflow) return Some(minKey(res))
-        hi = minKey(res)
+      if (ends.nonEmpty) {
+        probes(ends.map(Interval.openClosed(lo, _))).find(!_.overflow).foreach(r => return Some(minKey(r)))
+        // The round returned a key below its narrowest end: one more prefix.
+        val c = seenBeyond(lo).next()
+        if (c < ends.last) {
+          val res = probe(Interval.openClosed(lo, c))
+          if (!res.overflow) return Some(minKey(res))
+        }
       }
+      hi = seenBeyond(lo).next()
     } else {
       val first = probe(full)
       if (first.isEmpty) return None
@@ -220,9 +238,9 @@ class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, p
     sys.error("unreachable")
   }
 
-  /** Ends of the prefixes to probe beyond `lo`: of the distinct seen keys
-    * `c_1 < … < c_m` holding at most k seen tuples, `c_m`, `c_⌈m/2⌉` and
-    * `c_1`, widest first. A prefix holding more than k seen tuples
+  /** Ends of the prefixes to probe beyond `lo`, widest first: of the
+    * distinct seen keys `c_1 < … < c_m` holding at most k seen tuples,
+    * `c_m`, `c_⌈m/2⌉` and `c_1`. A prefix holding more than k seen tuples
     * overflows for sure and is not sent.
     */
   private def prefixEnds(lo: Double): Seq[Double] = {
