@@ -147,39 +147,38 @@ class OneDSpec extends SparkSpec {
     }
   }
 
-  /** The rounds a connection billed, each as the responses of its requests,
-    * read off a recording backend.
+  /** The ids of `h` 1D-RERANK results on houses price under `zip`, the
+    * ground-truth ids, and the rounds billed, each as the responses of its
+    * requests (read off a recording backend).
     */
-  private def rounds(conn: WebDbConn, db: RecordingWebDb): Seq[Seq[TopKResponse]] = {
-    val sizes = conn.acc.snapshot.batchSizes
-    sizes.scanLeft(0)(_ + _).zip(sizes).map { case (from, n) => db.log.slice(from, from + n).map(_._2).toSeq }
+  private def housesPrice(zip: String, asc: Boolean, h: Int): (Seq[Long], Seq[Long], Seq[Seq[TopKResponse]]) = {
+    val houses = TestFixtures.houses(spark)
+    val db     = new RecordingWebDb(houses)
+    val conn   = new WebDbConn(db)
+    val base   = WebQuery.all.andCat("zip", Set(zip))
+    val got    = new OneDRerank(conn, base, "price", asc, new DenseRegionStore).next(h).map(_.id)
+    val sizes  = conn.acc.snapshot.batchSizes
+    val rounds = sizes.scanLeft(0)(_ + _).zip(sizes).map { case (from, n) => db.log.slice(from, from + n).map(_._2).toSeq }
+    (got, TestFixtures.groundTruth1D(houses, base, "price", asc).take(h).map(_.id), rounds)
   }
 
   // Houses price asc follows the hidden ranking, so the keys one probe
   // returns are the next keys of the order: a seen-key prefix proves them.
   test("RERANK proves a page prefix from seen keys in a parallel round (houses price asc, zip filter)") {
-    val houses = TestFixtures.houses(spark)
-    val db     = new RecordingWebDb(houses)
-    val conn   = new WebDbConn(db)
-    val base   = WebQuery.all.andCat("zip", Set("90000"))
-    val got    = new OneDRerank(conn, base, "price", asc = true, new DenseRegionStore).next(10)
-    assert(got.map(_.id) == TestFixtures.groundTruth1D(houses, base, "price", asc = true).take(10).map(_.id))
-    assert(rounds(conn, db).exists(r => r.size > 1 && r.exists(!_.overflow)),
-      s"no parallel round answered a prefix: ${conn.acc.snapshot.batchSizes}")
+    val (got, truth, rounds) = housesPrice("90000", asc = true, h = 10)
+    assert(got == truth)
+    assert(rounds.exists(r => r.size > 1 && r.exists(!_.overflow)),
+      s"no parallel round answered a prefix: ${rounds.map(_.size)}")
   }
 
   // Price desc runs against the hidden ranking: the seen keys beyond the
   // frontier are far off, every prefix overflows, and the halving starts
   // below the smallest seen key.
   test("RERANK emits ground truth when every seen-key prefix overflows (houses price desc, zip filter)") {
-    val houses = TestFixtures.houses(spark)
-    val db     = new RecordingWebDb(houses)
-    val conn   = new WebDbConn(db)
-    val base   = WebQuery.all.andCat("zip", Set("90001"))
-    val got    = new OneDRerank(conn, base, "price", asc = false, new DenseRegionStore).next(20)
-    assert(got.map(_.id) == TestFixtures.groundTruth1D(houses, base, "price", asc = false).take(20).map(_.id))
-    assert(rounds(conn, db).exists(r => r.size > 1 && r.forall(_.overflow)),
-      s"premise: some parallel round overflowed throughout: ${conn.acc.snapshot.batchSizes}")
+    val (got, truth, rounds) = housesPrice("90001", asc = false, h = 20)
+    assert(got == truth)
+    assert(rounds.exists(r => r.size > 1 && r.forall(_.overflow)),
+      s"premise: some parallel round overflowed throughout: ${rounds.map(_.size)}")
   }
 
   test("RERANK second pass over an indexed dense region costs almost nothing") {
