@@ -64,7 +64,7 @@ object Experiments {
   }
 
   def report1(rows: Seq[T1Row]): String = render(
-    "Table 1 — parallel iterations, MD-RERANK on diamonds " +
+    "Table 1 — parallel iterations, MD-RERANK on diamonds, fresh service per cell " +
       "(paper Fig 2: 2D 44/45 ≈ 97.8% parallel iters, 3D > 90% of queries parallel)",
     Seq("dims", "ranking", "rounds", "parallel rounds", "round %", "query %", CrawlHeader),
     rows.map(r => Seq(r.dims.toString, r.ranking, r.rounds.toString,
@@ -101,7 +101,7 @@ object Experiments {
   }
 
   def report2(rows: Seq[T2Row]): String = render(
-    "Table 2 — Zillow price − 0.3·sqft, MD-RERANK top-10 (paper: 27 queries, 33 s)",
+    "Table 2 — Zillow price − 0.3·sqft, MD-RERANK top-10, fresh service per cell (paper: 27 queries, 33 s)",
     Seq("backend", "sf", "queries", "rounds", "simulated s", CrawlHeader),
     rows.map(r => Seq(r.backend, r.sf.toString, r.queries.toString, r.rounds.toString,
       f"${r.simulatedSec}%.1f", crawl(r.crawlQueries, r.crawlBound))),
@@ -143,7 +143,7 @@ object Experiments {
   }
 
   def report3(rows: Seq[T3Row]): String = render(
-    "Table 3 — 1D top-10 query cost by correlation scenario",
+    "Table 3 — 1D top-10 query cost by correlation scenario, fresh service per cell",
     Seq("scenario", "algo", "queries", CrawlHeader),
     rows.map(r => Seq(r.scenario, r.algo, r.queries.toString, crawl(r.crawlQueries, r.crawlBound))),
   )
@@ -186,7 +186,7 @@ object Experiments {
   }
 
   def report4(rows: Seq[T4Row]): String = render(
-    "Table 4 — MD top-10 query cost by ranking function",
+    "Table 4 — MD top-10 query cost by ranking function, fresh service per cell",
     Seq("ranking", "algo", "queries", "rounds", CrawlHeader),
     rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, r.rounds.toString, crawl(r.crawlQueries, r.crawlBound))),
   )

@@ -11,14 +11,17 @@ import repro.webdb._
   *
   *  - [[DensePolicy.Unindexed]] (BINARY, BASELINE) narrows to machine
   *    resolution, then crawls the region conditioned on the user filter and
-  *    keeps nothing beyond the session.
+  *    indexes nothing in the store; the filtered crawl stays in the
+  *    connection's answer cache like any complete region.
   *  - [[DensePolicy.Indexed]] (RERANK, and TA's sorted-access iterators)
   *    gives up early, crawls the region *without* the user filter so the
   *    result serves every later filter, and adds it to the shared
   *    [[DenseRegionStore]].
   *
   * The policy is also the one place that decides which complete regions a
-  * search reads: the session's, and under `Indexed` the store's as well.
+  * search reads: those of the connection's [[AnswerCache]] (in a service,
+  * the one cache all its sessions share, whatever their strategy), and
+  * under `Indexed` the store's as well.
   *
   * @param width1D give-up width of the 1D halving loop, as a fraction of the
   *                attribute's domain

@@ -6,7 +6,8 @@ import repro.webdb.WebTuple
   * tuple under the user-specified ranking function, issuing as few queries
   * to the hidden web database as possible. Implementations keep per-session
   * state (seen tuples, tie-group queues) so repeated calls are
-  * incremental; the session's complete regions live in its `WebDbConn`.
+  * incremental; the answers and complete regions the session reads live in
+  * its `WebDbConn`'s answer cache.
   */
 trait GetNexter {
 

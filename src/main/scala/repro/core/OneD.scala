@@ -176,7 +176,7 @@ class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, p
     var lo = startKey(frontierKey)
 
     // Answer from, or skip past, contiguous coverage: the furthest-reaching
-    // complete region of the session or the store beyond `lo`.
+    // complete region of the answer cache or the store beyond `lo`.
     var covered = true
     while (covered) policy.coverageFrom(conn, base, attr, asc, lo) match {
       case Some((covEnd, covIncl, ts)) =>

@@ -11,7 +11,7 @@ import repro.webdb.{Box, CompleteRegions, WebQuery, WebTuple}
   * numeric attributes) together with **every** tuple of the database inside
   * it — regions are crawled *unconditioned* on any user filter precisely so
   * the index is reusable across sessions and users. The entries are the
-  * shared tier of the complete regions a session keeps ([[CompleteRegions]],
+  * crawled tier of the service's complete regions ([[CompleteRegions]],
   * region query `box.toQuery()`), and are read through the same two lookups:
   * `content` answers a query inside a region, and `coverageFrom` reports
   * how far a 1D search may answer from, or skip past, a region.
@@ -24,9 +24,9 @@ final class DenseRegionStore {
 
   private val regions = new CompleteRegions
 
-  def size: Int = allEntries.size
+  def size: Int = synchronized(regions.size)
 
-  def indexedTupleCount: Long = allEntries.map(_.tuples.size.toLong).sum
+  def indexedTupleCount: Long = synchronized(regions.tupleCount)
 
   def allEntries: Vector[Entry] = synchronized(regions.all).map { case (q, ts) => Entry(Box(q.num), ts) }
 

@@ -41,10 +41,11 @@ object Algo {
 }
 
 /** The QR2 third-party reranking service (Fig 1 of the paper): wraps one
-  * web database, owns the shared dense-region store ("MySQL" cache) and the
-  * min-max normalization bounds (discovered through the 1D algorithm, as
-  * the paper prescribes), and opens per-user sessions that answer get-next
-  * and get-page with any of the strategies.
+  * web database, owns the shared dense-region store ("MySQL" cache), the
+  * answer cache every session reads and extends, and the min-max
+  * normalization bounds (discovered through the 1D algorithm, as the paper
+  * prescribes), and opens per-user sessions that answer get-next and
+  * get-page with any of the strategies.
   */
 final class Qr2Service(
     val db: WebDb,
@@ -56,6 +57,13 @@ final class Qr2Service(
     * Only code holding the service's lock sends traffic through it.
     */
   val serviceAcc = new Accountant
+
+  /** Every answer the service was billed for, and every complete region
+    * proven from them, by any session or by min/max discovery. Each
+    * session's connection reads and extends it, whatever its strategy; an
+    * answer read from it bills nothing.
+    */
+  val cache = new AnswerCache
 
   private val minMaxCache = TrieMap.empty[String, (Double, Double)]
 
@@ -69,7 +77,7 @@ final class Qr2Service(
   def minMax(attr: String): (Double, Double) =
     minMaxCache.getOrElse(attr, synchronized {
       minMaxCache.getOrElseUpdate(attr, {
-        val conn = new WebDbConn(db, serviceAcc)
+        val conn = new WebDbConn(db, serviceAcc, cache)
         def extreme(asc: Boolean): Double =
           new OneDRerank(conn, WebQuery.all, attr, asc, store)
             .firstValue()
@@ -85,7 +93,7 @@ final class Qr2Service(
   /** Open a user session: filter predicates + ranking spec + strategy. */
   def newSession(base: WebQuery, spec: RankSpec, algo: Algo = Algo.Rerank): Qr2Session = {
     val acc  = new Accountant
-    val conn = new WebDbConn(db, acc)
+    val conn = new WebDbConn(db, acc, cache)
     val impl: GetNexter = spec match {
       case OneDRank(a, asc) =>
         algo match {
@@ -107,8 +115,10 @@ final class Qr2Service(
 
   /** Boot-time cache verification (§II-B "before the system boots up we
     * verify the cache and update the changes from the web database"):
-    * re-crawl every indexed region and rebuild the store content. Returns
-    * the number of regions refreshed.
+    * re-crawl every indexed region through a connection that reads no
+    * cache, rebuild the store content, and empty the answer cache, which
+    * may hold answers the database has since changed. Returns the number
+    * of regions refreshed.
     */
   def verifyCache(): Int = synchronized {
     val conn    = new WebDbConn(db, serviceAcc)
@@ -116,6 +126,7 @@ final class Qr2Service(
     val fresh   = entries.map(e =>
       (e.box, Crawler.crawlQuery(conn, e.box.toQuery(WebQuery.all)): Seq[WebTuple]))
     store.replaceAll(fresh)
+    cache.clear()
     entries.size
   }
 }

@@ -98,28 +98,31 @@ object DbStats {
   * requests (QR2 issues independent queries concurrently — §II-B of the
   * paper), `topK` is a batch of one.
   *
-  * The connection is QR2's *session variable*, which stores "the tuples
-  * that are already seen … to accelerate … subsequent get-next operations"
-  * (§II-A). An exact memo answers repeated queries. The
-  * [[CompleteRegions]] of the billed responses that did not overflow and of
-  * the finished crawls answer the queries inside them: when at most k
-  * region tuples match, they are the answer, with `overflow = false`,
-  * exactly as the web database would return it. Otherwise the query is
-  * sent: a crawled region lacks the hidden rank order. Before either, the
-  * schema answers: a query that is unsatisfiable, or whose interval on some
-  * attribute misses that attribute's advertised domain, matches no tuple
-  * (the [[WebSchema]] contract), so its answer is the empty page. Local
-  * answers are not billed.
+  * The connection answers from its [[AnswerCache]] what the cache proves:
+  * an exact memo answers repeated queries, and the [[CompleteRegions]] of
+  * the billed responses that did not overflow and of the finished crawls
+  * answer the queries inside them: when at most k region tuples match,
+  * they are the answer, with `overflow = false`, exactly as the web
+  * database would return it. Otherwise the query is sent: a crawled region
+  * lacks the hidden rank order. Before either, the schema answers: a query
+  * that is unsatisfiable, or whose interval on some attribute misses that
+  * attribute's advertised domain, matches no tuple (the [[WebSchema]]
+  * contract), so its answer is the empty page. Local answers are not
+  * billed; the accountant `acc` bills only the queries this connection
+  * sends.
+  *
+  * A [[repro.service.Qr2Service]] gives every session's connection its one
+  * cache, so a session reuses the answers every earlier session of the
+  * service was billed for (QR2's shared cache, §II-B, extended from dense
+  * regions to every proven answer). A connection built on its own keeps a
+  * private cache: it reuses only its own answers.
   */
-final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
+final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant, val cache: AnswerCache = new AnswerCache) {
   def schema: WebSchema = db.schema
   def k: Int = db.k
 
-  private val memo    = mutable.HashMap.empty[WebQuery, TopKResponse]
-  private val regions = new CompleteRegions // non-overflowing responses and crawls
-
-  /** Number of distinct answers held by the memo. */
-  def memoSize: Int = memo.size
+  /** Number of distinct answers held by the cache's memo. */
+  def memoSize: Int = cache.memoSize
 
   /** One sequential request (a round of size 1). */
   def topK(q: WebQuery): TopKResponse = batch(Seq(q)).head
@@ -127,25 +130,23 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   /** One parallel round of independent requests. Physical execution is
     * sequential in the simulator; the accountant records the round shape,
     * which is what the paper's Fig 2 measures. Only queries neither the
-    * schema, the memo nor a complete region answers are billed; a round of
-    * such local answers issues no requests at all.
+    * schema nor the cache answers are billed; a round of such local
+    * answers issues no requests at all. The round returns the answers it
+    * looked up or received, whatever other connections do to the cache
+    * meanwhile.
     */
   def batch(qs: Seq[WebQuery], crawl: Boolean = false): Seq[TopKResponse] = {
     require(qs.nonEmpty, "empty batch")
-    for (q <- qs.distinct if !memo.contains(q)) {
-      val local = if (knownEmpty(q)) Some(Vector.empty) else content(q).filter(_.size <= k)
-      local.foreach(ts => memo.update(q, TopKResponse(ts, overflow = false)))
-    }
-    val misses = qs.distinct.filterNot(memo.contains)
+    val distinct = qs.distinct
+    val answers  = cache.answers(distinct, k, knownEmpty)
+    val misses   = distinct.filterNot(answers.contains)
     if (misses.nonEmpty) {
       acc.bill(BilledRound(misses.size, crawl))
-      misses.foreach { q =>
-        val res = db.rawTopK(q)
-        memo.update(q, res)
-        if (!res.overflow) regions.add(q, res.tuples.toVector)
-      }
+      val received = misses.map(q => q -> db.rawTopK(q))
+      cache.received(received)
+      answers ++= received
     }
-    qs.map(memo)
+    qs.map(answers)
   }
 
   /** True when the schema shows `q` matches no tuple: `q` is unsatisfiable
@@ -158,16 +159,15 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant) {
   /** Every tuple matching `q`, if `q` was answered without overflow or
     * lies inside a complete region.
     */
-  def content(q: WebQuery): Option[Vector[WebTuple]] =
-    memo.get(q).filterNot(_.overflow).map(_.tuples.toVector).orElse(regions.content(q))
+  def content(q: WebQuery): Option[Vector[WebTuple]] = cache.content(q)
 
-  /** 1D: [[CompleteRegions.coverageFrom]] over the session's regions. */
+  /** 1D: [[CompleteRegions.coverageFrom]] over the cache's regions. */
   def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[CompleteRegions.Coverage] =
-    regions.coverageFrom(base, attr, asc, lo)
+    cache.coverageFrom(base, attr, asc, lo)
 
   /** Register a finished crawl: `q` with every tuple matching it. */
   def crawled(q: WebQuery, tuples: Vector[WebTuple]): Unit = {
-    regions.add(q, tuples)
+    cache.crawled(q, tuples)
     acc.crawled(tuples.size)
   }
 }

@@ -175,6 +175,96 @@ class Qr2ServiceSpec extends SparkSpec {
     assert(fresh.acc.crawlQueries >= entries.size)
   }
 
+  test("verifyCache empties the answer cache: a repeated session bills what it bills on a fresh service") {
+    val db   = TestFixtures.diamonds(spark)
+    val spec = OneDRank("price", asc = false)
+    val alone = new Qr2Service(db).newSession(WebQuery.all, spec, Algo.Binary)
+    alone.getPage(10)
+    val service = new Qr2Service(db)
+    service.newSession(WebQuery.all, spec, Algo.Binary).getPage(10)
+    service.verifyCache()
+    val again = service.newSession(WebQuery.all, spec, Algo.Binary)
+    val ids   = again.getPage(10).map(_.id)
+    assert(ids == alone.seen.map(_.id))
+    assert(again.stats.queries == alone.stats.queries && again.stats.rounds == alone.stats.rounds,
+      s"after verifyCache ${again.statsPanel}, on a fresh service ${alone.statsPanel}")
+    assert(alone.stats.queries > 0)
+  }
+
+  /** One session per strategy and shape: MD on two attributes, 1D in both
+    * directions, filtered and not, through the dense lwr spike.
+    */
+  private val mixedSessions: Seq[(WebQuery, RankSpec, Algo)] =
+    Algo.all.map(a => (WebQuery.all, MDRank(Seq("price" -> 1.0, "carat" -> -0.5)), a)) ++ Seq(
+      (WebQuery.all, OneDRank("lwr", asc = true), Algo.Rerank),
+      (WebQuery.all.andCat("cut", Set("Good")), OneDRank("lwr", asc = true), Algo.Binary),
+      (WebQuery.all, OneDRank("price", asc = false), Algo.Baseline),
+      (WebQuery.all.andCat("cut", Set("Ideal")), OneDRank("carat", asc = true), Algo.TA),
+      (WebQuery.all.andCat("shape", Set("Round")), MDRank(Seq("price" -> 1.0, "lwr" -> 1.0)), Algo.Rerank),
+    )
+
+  private def truthIds(db: LocalWebDb, base: WebQuery, spec: RankSpec, n: Int): Vector[Long] =
+    TestFixtures.groundTruth(db, base, spec.toLinear, TestFixtures.trueNorm(db, spec.attrs)).take(n).map(_.id)
+
+  test("a repeated session on one service bills no query and no round, and emits the same ids") {
+    val db = TestFixtures.diamonds(spark)
+    for ((base, spec, algo) <- mixedSessions) {
+      val service = new Qr2Service(db)
+      val first   = service.newSession(base, spec, algo)
+      val ids     = first.getPage(10).map(_.id) ++ first.getPage(10).map(_.id)
+      val again   = service.newSession(base, spec, algo)
+      val idsAgain = again.getPage(10).map(_.id) ++ again.getPage(10).map(_.id)
+      assert(idsAgain == ids, s"$algo $spec $base")
+      assert(again.stats.queries == 0 && again.stats.rounds == 0,
+        s"$algo $spec $base: repeat ${again.statsPanel} after ${first.statsPanel}")
+    }
+  }
+
+  test("a BINARY session after a RERANK session of the same houses ranking is correct and bills less") {
+    val db    = TestFixtures.houses(spark)
+    val spec  = MDRank(Seq("price" -> 0.7, "sqft" -> -0.1))
+    val truth = truthIds(db, WebQuery.all, spec, 10)
+    val alone = new Qr2Service(db)
+    alone.normalizer(spec.attrs)
+    val binaryAlone = alone.newSession(WebQuery.all, spec, Algo.Binary)
+    assert(binaryAlone.getPage(10).map(_.id) == truth)
+    val service = new Qr2Service(db)
+    assert(service.newSession(WebQuery.all, spec, Algo.Rerank).getPage(10).map(_.id) == truth)
+    val binary = service.newSession(WebQuery.all, spec, Algo.Binary)
+    assert(binary.getPage(10).map(_.id) == truth)
+    assert(binary.stats.queries < binaryAlone.stats.queries,
+      s"after RERANK ${binary.statsPanel}, alone ${binaryAlone.statsPanel}")
+  }
+
+  test("four threads of mixed sessions on one service each emit ground truth") {
+    val db      = TestFixtures.diamonds(spark)
+    val service = new Qr2Service(db)
+    val start   = new java.util.concurrent.CountDownLatch(1)
+    val errors  = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val pages   = new java.util.concurrent.atomic.AtomicInteger
+    val threads = (0 until 4).map { i =>
+      // Each thread runs every session, from a different one, so threads
+      // run the same and different sessions at once.
+      val order = mixedSessions.drop(2 * i) ++ mixedSessions.take(2 * i)
+      new Thread(() => {
+        start.await()
+        for ((base, spec, algo) <- order) {
+          try {
+            val session = service.newSession(base, spec, algo)
+            val got     = session.getPage(10).map(_.id) ++ session.getPage(10).map(_.id)
+            if (got != truthIds(db, base, spec, 20)) errors.add(s"$algo $spec $base: wrong ids $got")
+            pages.addAndGet(2)
+          } catch { case e: Exception => errors.add(s"$algo $spec $base: $e") }
+        }
+      })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(errors.isEmpty, errors.toArray.mkString("\n"))
+    assert(pages.get == 4 * 2 * mixedSessions.size)
+  }
+
   test("resultsAsDataFrame presents the page in user-ranking order") {
     val db      = TestFixtures.diamonds(spark)
     val service = new Qr2Service(db)
