@@ -21,6 +21,11 @@ final class CompleteRegions {
 
   private val buckets = mutable.LinkedHashMap.empty[Shape, mutable.ArrayBuffer[Region]]
   private var count   = 0
+  /** The candidate buckets of each query shape looked up since the last
+    * bucket was created: queries repeat a few shapes, so most lookups find
+    * their buckets without testing every shape.
+    */
+  private val candidatesOf = mutable.HashMap.empty[Shape, Vector[mutable.ArrayBuffer[Region]]]
 
   /** Number of regions held. */
   def size: Int = count
@@ -34,12 +39,15 @@ final class CompleteRegions {
 
   /** Register `q` with every tuple matching it. */
   def add(q: WebQuery, tuples: Vector[WebTuple]): Unit = {
-    buckets.getOrElseUpdate((q.num.keySet, q.cat), mutable.ArrayBuffer.empty) += Region(count, q, tuples)
+    val shape = (q.num.keySet, q.cat)
+    if (!buckets.contains(shape)) candidatesOf.clear()
+    buckets.getOrElseUpdate(shape, mutable.ArrayBuffer.empty) += Region(count, q, tuples)
     count += 1
   }
 
   def clear(): Unit = {
     buckets.clear()
+    candidatesOf.clear()
     count = 0
   }
 
@@ -66,10 +74,10 @@ final class CompleteRegions {
     * numeric attributes `attrs` and has the categorical sets `cat`.
     */
   private def candidates(attrs: Set[String], cat: Map[String, Set[String]]): Iterator[mutable.ArrayBuffer[Region]] =
-    buckets.iterator.collect {
+    candidatesOf.getOrElseUpdate((attrs, cat), buckets.iterator.collect {
       case ((rAttrs, rCat), rs) if rAttrs.subsetOf(attrs) &&
           rCat.forall { case (a, vs) => cat.get(a).exists(_.subsetOf(vs)) } => rs
-    }
+    }.toVector).iterator
 }
 
 object CompleteRegions {
