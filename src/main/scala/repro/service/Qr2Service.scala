@@ -115,10 +115,10 @@ final class Qr2Service(
 
   /** Boot-time cache verification (§II-B "before the system boots up we
     * verify the cache and update the changes from the web database"):
-    * re-crawl every indexed region through a connection that reads no
-    * cache, rebuild the store content, and empty the answer cache, which
-    * may hold answers the database has since changed. Returns the number
-    * of regions refreshed.
+    * re-crawl every indexed region through a connection of its own, which
+    * reads none of the service's answers, rebuild the store content, and
+    * empty the answer cache, which may hold answers the database has since
+    * changed. Returns the number of regions refreshed.
     */
   def verifyCache(): Int = synchronized {
     val conn    = new WebDbConn(db, serviceAcc)

@@ -224,9 +224,7 @@ class Qr2ServiceSpec extends SparkSpec {
     val db    = TestFixtures.houses(spark)
     val spec  = MDRank(Seq("price" -> 0.7, "sqft" -> -0.1))
     val truth = truthIds(db, WebQuery.all, spec, 10)
-    val alone = new Qr2Service(db)
-    alone.normalizer(spec.attrs)
-    val binaryAlone = alone.newSession(WebQuery.all, spec, Algo.Binary)
+    val binaryAlone = new Qr2Service(db).newSession(WebQuery.all, spec, Algo.Binary)
     assert(binaryAlone.getPage(10).map(_.id) == truth)
     val service = new Qr2Service(db)
     assert(service.newSession(WebQuery.all, spec, Algo.Rerank).getPage(10).map(_.id) == truth)
