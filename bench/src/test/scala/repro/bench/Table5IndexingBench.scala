@@ -8,14 +8,17 @@ import repro.bench.Experiments._
   * shared service. RERANK crawls and indexes the lwr = 1.00 spike once and
   * serves later sessions from the store; BINARY re-pays the dense region in
   * every session ("thanks to the on-the-fly indexing, (1D/MD)-RERANK will
-  * still have a low amortized cost in these cases").
+  * still have a low amortized cost in these cases"). Table 5b: an MD
+  * session reads the spike a 1D session indexed.
   */
 class Table5IndexingBench extends SparkSpec {
 
-  private lazy val rows = table5(spark)
+  private lazy val rows  = table5(spark)
+  private lazy val cross = table5Cross(spark)
 
   test("Table 5: print") {
     println(report5(rows))
+    println(report5Cross(cross))
   }
 
   test("shape: after the first session, RERANK sessions are nearly free") {
@@ -41,5 +44,11 @@ class Table5IndexingBench extends SparkSpec {
     val rMean = later.map(_.rerankQueries).sum.toDouble / later.size
     val bMean = later.map(_.binaryQueries).sum.toDouble / later.size
     assert(rMean < bMean / 5, s"rerank mean $rMean vs binary mean $bMean")
+  }
+
+  test("shape: an MD crawl through the spike a 1D session indexed crawls less than on an empty store") {
+    cross.foreach { r =>
+      assert(r.warmCrawl < r.emptyCrawl, s"${r.filter}: warm ${r.warmCrawl} vs empty ${r.emptyCrawl}")
+    }
   }
 }

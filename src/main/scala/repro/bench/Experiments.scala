@@ -238,6 +238,43 @@ object Experiments {
         crawl(rows.map(_.rerankCrawl).sum, rows.map(_.rerankCrawlBound).sum)),
   )
 
+  final case class T5CrossRow(
+      filter: String,
+      emptyQueries: Long,
+      emptyCrawl: Long,
+      warmQueries: Long,
+      warmCrawl: Long,
+  )
+
+  /** Cross-shape reuse of the store: an MD-RERANK `price + lwr` session
+    * under each cut filter, once on a fresh service (empty store) and once
+    * on a fresh service where a 1D-RERANK `lwr asc` session indexed the
+    * lwr = 1.00 spike first (warm store). The MD crawls reach into the spike;
+    * on the warm store they read it from the store and crawl only the
+    * tuples around it.
+    */
+  def table5Cross(spark: SparkSession, sf: Double = benchSfSmall): Seq[T5CrossRow] = {
+    val db = WebData.diamondsLocal(spark, sf)
+    val md = MDRank(Seq("price" -> 1.0, "lwr" -> 1.0))
+    WebData.diamondSchema.catDomains("cut").map { c =>
+      val q     = WebQuery.all.andCat("cut", Set(c))
+      val empty = page(new Qr2Service(db), q, md, Algo.Rerank)
+      val warm  = new Qr2Service(db)
+      page(warm, WebQuery.all, OneDRank("lwr", asc = true), Algo.Rerank)
+      val st = page(warm, q, md, Algo.Rerank)
+      T5CrossRow(s"cut=$c", empty.queries, empty.crawlQueries, st.queries, st.crawlQueries)
+    }
+  }
+
+  def report5Cross(rows: Seq[T5CrossRow]): String = render(
+    "Table 5b — MD-RERANK price + lwr top-10 on an empty store vs after a 1D lwr asc session (fresh service per cell)",
+    Seq("filter", "empty: queries", "empty: crawl", "warm: queries", "warm: crawl"),
+    rows.map(r => Seq(r.filter, r.emptyQueries.toString, r.emptyCrawl.toString,
+      r.warmQueries.toString, r.warmCrawl.toString)) :+
+      Seq("total", rows.map(_.emptyQueries).sum.toString, rows.map(_.emptyCrawl).sum.toString,
+        rows.map(_.warmQueries).sum.toString, rows.map(_.warmCrawl).sum.toString),
+  )
+
   // -------------------------------------------------------------------
   // Table 6 — §III-B "Best vs worst cases"
   // -------------------------------------------------------------------

@@ -51,8 +51,8 @@ sealed abstract class DensePolicy(
     */
   final def coverageFrom(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, lo: Double)
       : Option[CompleteRegions.Coverage] =
-    CompleteRegions.furthest(
-      conn.coverageFrom(base, attr, asc, lo) ++ indexed.flatMap(_.coverageFrom(base, attr, asc, lo)))
+    CompleteRegions.furthest(conn.coverageFrom(base, attr, asc, lo) ++
+      indexed.flatMap(_.coverageFrom(base, attr, asc, lo, conn.schema.numDomains(attr))))
 
   /** 1D: the key interval to crawl when `(lo, hi]` is dense. */
   def sliver(lo: Double, hi: Double): Interval

@@ -38,7 +38,13 @@ import scala.collection.mutable
   * one frontier queue sends up to [[WebDbConn.MaxPar]] of them per parallel round,
   * contributing to the parallel-iteration counts of Fig 2. Given the shared
   * [[DenseRegionStore]], a sub-query lying inside an indexed region is
-  * answered from the store and not sent.
+  * answered from the store and not sent. A sub-query an indexed region
+  * *cuts* ([[DenseRegionStore.cut]]: the region holds it on every
+  * attribute but one, and more than k of its tuples) is split at the
+  * region's bounds on that attribute, the probe/remainder split of Dar et
+  * al. (VLDB'96): the part inside is read from the store and only the
+  * remainder pieces are crawled. So a crawl through an indexed spike pays
+  * for the tuples around it, not for the spike again.
   */
 object Crawler {
 
@@ -46,7 +52,8 @@ object Crawler {
     * retrieved, are tagged as crawl traffic in the connection's accountant,
     * and `q` with its tuples becomes a complete region of the connection.
     * Sub-queries contained in a region of `store` are answered from it at
-    * no cost; cache verification passes no store, because it must re-crawl.
+    * no cost, and those a region cuts are crawled only outside it; cache
+    * verification passes no store, because it must re-crawl.
     *
     * @throws IllegalStateException if the region cannot be partitioned
     *         further yet still overflows (more than k identical tuples).
@@ -65,7 +72,13 @@ object Crawler {
         val sub = frontier.dequeue()
         store.flatMap(_.content(sub)) match {
           case Some(ts) => ts.foreach(t => out.update(t.id, t))
-          case None     => round += sub
+          case None =>
+            store.flatMap(_.cut(sub, conn.k)) match {
+              case Some((a, iv, ts)) =>
+                ts.foreach(t => out.update(t.id, t))
+                frontier.prependAll(schema.outside(sub, a, iv))
+              case None => round += sub
+            }
         }
       }
       if (round.nonEmpty) {

@@ -1,7 +1,7 @@
 package repro.service
 
 import org.apache.spark.sql.SparkSession
-import repro.webdb.{Box, CompleteRegions, WebQuery, WebTuple}
+import repro.webdb.{Box, CompleteRegions, Interval, WebQuery, WebTuple}
 
 /** Shared index of fully-crawled dense regions — QR2's "MySQL" cache
   * (§II-B, "Managing the dense region cache"), substituted here by an
@@ -12,9 +12,10 @@ import repro.webdb.{Box, CompleteRegions, WebQuery, WebTuple}
   * it — regions are crawled *unconditioned* on any user filter precisely so
   * the index is reusable across sessions and users. The entries are the
   * crawled tier of the service's complete regions ([[CompleteRegions]],
-  * region query `box.toQuery()`), and are read through the same two lookups:
-  * `content` answers a query inside a region, and `coverageFrom` reports
-  * how far a 1D search may answer from, or skip past, a region.
+  * region query `box.toQuery()`), and are read through the same lookups:
+  * `content` answers a query inside a region, `coverageFrom` reports how
+  * far a 1D search may answer from, or skip past, a region, and `cut`
+  * finds a region the crawler may read part of a sub-query from.
   *
   * The store is shared between all sessions of a [[Qr2Service]]; methods
   * are synchronized (QR2 is a multi-user service).
@@ -43,8 +44,15 @@ final class DenseRegionStore {
   def content(q: WebQuery): Option[Vector[WebTuple]] = synchronized(regions.content(q))
 
   /** [[CompleteRegions.coverageFrom]] over the stored regions. */
-  def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[CompleteRegions.Coverage] =
-    synchronized(regions.coverageFrom(base, attr, asc, lo))
+  def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double, domain: Interval)
+      : Option[CompleteRegions.Coverage] =
+    synchronized(regions.coverageFrom(base, attr, asc, lo, domain))
+
+  /** [[CompleteRegions.cut]] over the stored regions: a region holding
+    * more than `k` of `q`'s tuples, which the crawler reads instead of
+    * crawling that part of `q`.
+    */
+  def cut(q: WebQuery, k: Int): Option[CompleteRegions.Cut] = synchronized(regions.cut(q, k))
 
   // ---------------------------------------------------------------------
   // Persistence — stands in for the MySQL cache that survives restarts

@@ -61,8 +61,9 @@ final class AnswerCache {
   }
 
   /** 1D: [[CompleteRegions.coverageFrom]] over the cache's regions. */
-  def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[CompleteRegions.Coverage] =
-    synchronized(regions.coverageFrom(base, attr, asc, lo))
+  def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double, domain: Interval)
+      : Option[CompleteRegions.Coverage] =
+    synchronized(regions.coverageFrom(base, attr, asc, lo, domain))
 
   /** Forget every answer, for when the database may have changed. */
   def clear(): Unit = synchronized {

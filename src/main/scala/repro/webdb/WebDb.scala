@@ -109,7 +109,10 @@ object DbStats {
   * attribute's advertised domain, matches no tuple (the [[WebSchema]]
   * contract), so its answer is the empty page. Local answers are not
   * billed; the accountant `acc` bills only the queries this connection
-  * sends.
+  * sends. Neither the cache nor the web database sees a vacuous
+  * constraint ([[WebSchema.canonical]]): the full probe `(lo − 1, hi]` of
+  * an ascending 1D search, `[lo, hi + 1)` of a descending one and an MD
+  * root box are all "the filter alone", one memo key, billed once.
   *
   * A [[repro.service.Qr2Service]] gives every session's connection its one
   * cache, so a session reuses the answers every earlier session of the
@@ -137,7 +140,8 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant, val c
     */
   def batch(qs: Seq[WebQuery], crawl: Boolean = false): Seq[TopKResponse] = {
     require(qs.nonEmpty, "empty batch")
-    val distinct = qs.distinct
+    val canon    = qs.map(schema.canonical)
+    val distinct = canon.distinct
     val answers  = cache.answers(distinct, k, knownEmpty)
     val misses   = distinct.filterNot(answers.contains)
     if (misses.nonEmpty) {
@@ -146,7 +150,7 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant, val c
       cache.received(received)
       answers ++= received
     }
-    qs.map(answers)
+    canon.map(answers)
   }
 
   /** True when the schema shows `q` matches no tuple: `q` is unsatisfiable
@@ -159,15 +163,15 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant, val c
   /** Every tuple matching `q`, if `q` was answered without overflow or
     * lies inside a complete region.
     */
-  def content(q: WebQuery): Option[Vector[WebTuple]] = cache.content(q)
+  def content(q: WebQuery): Option[Vector[WebTuple]] = cache.content(schema.canonical(q))
 
   /** 1D: [[CompleteRegions.coverageFrom]] over the cache's regions. */
   def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[CompleteRegions.Coverage] =
-    cache.coverageFrom(base, attr, asc, lo)
+    cache.coverageFrom(base, attr, asc, lo, schema.numDomains(attr))
 
   /** Register a finished crawl: `q` with every tuple matching it. */
   def crawled(q: WebQuery, tuples: Vector[WebTuple]): Unit = {
-    cache.crawled(q, tuples)
+    cache.crawled(schema.canonical(q), tuples)
     acc.crawled(tuples.size)
   }
 }

@@ -93,6 +93,30 @@ final case class WebSchema(
 ) {
   require(numeric.forall(numDomains.contains), s"missing numeric domain in schema $name")
   require(categorical.forall(catDomains.contains), s"missing categorical domain in schema $name")
+
+  /** `q` without its vacuous constraints: an interval holding the
+    * attribute's whole advertised domain, or a categorical set holding its
+    * whole domain, filters out no tuple. Queries that differ only in such
+    * constraints thus share one form, and one answer.
+    */
+  def canonical(q: WebQuery): WebQuery = {
+    val num = q.num.filterNot { case (a, iv) => numDomains.get(a).exists(_.subsetOf(iv)) }
+    val cat = q.cat.filterNot { case (a, vs) => catDomains.get(a).exists(_.forall(vs.contains)) }
+    if (num.size == q.num.size && cat.size == q.cat.size) q else WebQuery(num, cat)
+  }
+
+  /** The parts of `q` with `attr` below and above `iv`, empty parts
+    * dropped. With `q ∧ attr ∈ iv` they partition `q`; each is bounded by
+    * `q`'s interval on `attr`, or by the advertised domain where `q` leaves
+    * `attr` unconstrained.
+    */
+  def outside(q: WebQuery, attr: String, iv: Interval): Seq[WebQuery] = {
+    val qIv = q.num.getOrElse(attr, numDomains(attr))
+    Seq(
+      Interval(Double.NegativeInfinity, iv.lo, loIncl = false, hiIncl = !iv.loIncl),
+      Interval(iv.hi, Double.PositiveInfinity, loIncl = !iv.hiIncl, hiIncl = false),
+    ).map(qIv.intersect).filterNot(_.isEmpty).map(q.and(attr, _))
+  }
 }
 
 /** A conjunctive search query: per-attribute interval constraints plus

@@ -167,6 +167,54 @@ class CrawlerSpec extends SparkSpec {
     assert(conn.acc.queries == 0)
   }
 
+  // -------------------------------------------------------------------
+  // Sub-queries cut at indexed regions.
+  // -------------------------------------------------------------------
+
+  private lazy val sliver = Box(Map("lwr" -> Interval.point(1.0)))
+
+  /** A `price × lwr` box around the lwr = 1.00 spike. */
+  private lazy val spikeBox = Box(Map("price" -> Interval(200.0, 3000.0), "lwr" -> Interval(1.0, 1.2))).toQuery()
+
+  /** A store holding each region with every tuple of the database in it. */
+  private def storeOf(regions: Box*): DenseRegionStore = {
+    val store = new DenseRegionStore
+    regions.foreach(r => store.add(r, db.allTuples.filter(r.toQuery().matches)))
+    store
+  }
+
+  /** The requests a crawl of `q` sends, and the tuples it returns. */
+  private def crawlLog(q: WebQuery, store: Option[DenseRegionStore]): (Seq[WebQuery], Vector[WebTuple]) = {
+    val rec = new RecordingWebDb(db)
+    val ts  = Crawler.crawlQuery(new WebDbConn(rec), q, store)
+    (rec.requests, ts)
+  }
+
+  test("a crawl through the stored lwr = 1.00 sliver reads the sliver from the store and crawls the rest") {
+    assert(brute(db, sliver.toQuery(spikeBox)).size > db.k, "premise: the sliver holds more than k of the box's tuples")
+    val (sent, ts) = crawlLog(spikeBox, Some(storeOf(sliver)))
+    assert(ts.map(_.id).toSet == brute(db, spikeBox) && ts.map(_.id).distinct.size == ts.size)
+    assert(sent.nonEmpty)
+    assert(!sent.exists(_.num.get("lwr").forall(_.contains(1.0))), s"a request reached into the sliver: $sent")
+    assert(sent.size < crawlLog(spikeBox, None)._1.size)
+  }
+
+  test("a region cutting on two attributes, or holding at most k of a sub-query's tuples, leaves the requests unchanged") {
+    val q        = Box(Map("price" -> Interval(200.0, 1000.0), "lwr" -> Interval(1.0, 1.2))).toQuery()
+    val twoAttrs = Box(sliver.dims + ("carat" -> Interval(0.3, 0.4)))
+    assert(brute(db, twoAttrs.toQuery(q)).size > db.k, "premise: the region holds more than k of the crawl's tuples")
+    val lwrs = db.allTuples.map(_.num("lwr")).filter(v => v > 1.0 && v <= 1.2).sorted
+    val few  = Box(Map("lwr" -> Interval(lwrs.head, lwrs(db.k / 2))))
+    val nFew = brute(db, few.toQuery(q)).size
+    assert(nFew > 0 && nFew <= db.k, s"premise: the region holds $nFew of the crawl's tuples")
+    val (unchanged, _) = crawlLog(q, None)
+    for (region <- Seq(twoAttrs, few)) {
+      val (sent, ts) = crawlLog(q, Some(storeOf(region)))
+      assert(sent == unchanged, s"region $region")
+      assert(ts.map(_.id).toSet == brute(db, q))
+    }
+  }
+
   for (sf <- Seq(0.005, 0.05)) {
     test(s"the lwr spike crawl stays within 4 * ceil(n/k) queries (sf=$sf)") {
       val big  = TestFixtures.diamonds(spark, sf)

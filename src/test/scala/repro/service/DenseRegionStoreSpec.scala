@@ -14,6 +14,9 @@ class DenseRegionStoreSpec extends SparkSpec {
 
   private def q(dims: (String, Interval)*): WebQuery = Box(dims.toMap).toQuery()
 
+  /** The advertised domain of `x` handed to `coverageFrom`. */
+  private val xDomain = Interval(0.0, 100.0)
+
   test("content hits only regions containing the query") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(0.0, 10.0))), Seq(t(1, 5.0)))
@@ -34,12 +37,12 @@ class DenseRegionStoreSpec extends SparkSpec {
   test("coverageFrom covers frontiers inside the region and skips those at its end") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(1.0, 2.0))), Seq(t(1, 1.5)))
-    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 0.9).isEmpty, "region starts above the frontier")
-    val Some((end, incl, ts)) = s.coverageFrom(WebQuery.all, "x", asc = true, 1.2)
+    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 0.9, xDomain).isEmpty, "region starts above the frontier")
+    val Some((end, incl, ts)) = s.coverageFrom(WebQuery.all, "x", asc = true, 1.2, xDomain)
     assert(end == 2.0 && incl && ts.map(_.id) == Vector(1L))
-    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 2.0).isEmpty,
+    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 2.0, xDomain).isEmpty,
       "a region ending at the frontier covers nothing beyond it")
-    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 1.0).isDefined,
+    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 1.0, xDomain).isDefined,
       "closed region covers the neighbourhood above its own lower bound")
   }
 
@@ -47,33 +50,58 @@ class DenseRegionStoreSpec extends SparkSpec {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(1.0, 2.0))), Seq(t(1, 1.5)))
     // keys are −x: the region covers keys [−2, −1]
-    val Some((end, _, _)) = s.coverageFrom(WebQuery.all, "x", asc = false, -1.8)
+    val Some((end, _, _)) = s.coverageFrom(WebQuery.all, "x", asc = false, -1.8, xDomain)
     assert(end == -1.0)
-    assert(s.coverageFrom(WebQuery.all, "x", asc = false, -0.5).isEmpty)
+    assert(s.coverageFrom(WebQuery.all, "x", asc = false, -0.5, xDomain).isEmpty)
   }
 
   test("coverageFrom prefers the furthest-reaching entry") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(0.0, 1.0))), Seq(t(1, 0.5)))
     s.add(Box(Map("x" -> Interval(0.0, 3.0))), Seq(t(2, 2.5)))
-    val Some((end, _, ts)) = s.coverageFrom(WebQuery.all, "x", asc = true, 0.2)
+    val Some((end, _, ts)) = s.coverageFrom(WebQuery.all, "x", asc = true, 0.2, xDomain)
     assert(end == 3.0 && ts.map(_.id) == Vector(2L))
   }
 
   test("coverageFrom ignores multi-dimensional entries") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(0.0, 10.0), "y" -> Interval(0.0, 1.0))), Seq(t(1, 5.0)))
-    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 1.0).isEmpty,
+    assert(s.coverageFrom(WebQuery.all, "x", asc = true, 1.0, xDomain).isEmpty,
       "an unconstrained base reaches beyond the entry's y interval")
   }
 
   test("coverageFrom reads a multi-dimensional entry for a base inside its other dimensions") {
     val s = new DenseRegionStore
     s.add(Box(Map("x" -> Interval(0.0, 10.0), "y" -> Interval(0.0, 1.0))), Seq(t(1, 5.0)))
-    val Some((end, incl, ts)) = s.coverageFrom(q("y" -> Interval(0.2, 0.5)), "x", asc = true, 1.0)
+    val Some((end, incl, ts)) = s.coverageFrom(q("y" -> Interval(0.2, 0.5)), "x", asc = true, 1.0, xDomain)
     assert(end == 10.0 && incl && ts.map(_.id) == Vector(1L))
-    assert(s.coverageFrom(q("y" -> Interval(0.5, 2.0)), "x", asc = true, 1.0).isEmpty,
+    assert(s.coverageFrom(q("y" -> Interval(0.5, 2.0)), "x", asc = true, 1.0, xDomain).isEmpty,
       "a base reaching past the entry's y interval")
+  }
+
+  test("coverageFrom reads a region leaving the attribute unconstrained as covering its whole domain") {
+    val s = new DenseRegionStore
+    s.add(Box(Map("y" -> Interval(0.0, 1.0))), Seq(t(1, 5.0)))
+    val base = q("y" -> Interval(0.2, 0.5))
+    val Some((end, incl, ts)) = s.coverageFrom(base, "x", asc = true, -1.0, xDomain)
+    assert(end == 100.0 && incl && ts.map(_.id) == Vector(1L))
+    val Some((endDesc, _, _)) = s.coverageFrom(base, "x", asc = false, -100.5, xDomain)
+    assert(endDesc == 0.0)
+    assert(s.coverageFrom(base, "x", asc = true, 100.0, xDomain).isEmpty, "nothing lies beyond the domain")
+    assert(s.coverageFrom(WebQuery.all, "x", asc = true, -1.0, xDomain).isEmpty,
+      "an unconstrained base reaches beyond the entry's y interval")
+  }
+
+  test("cut finds a region holding the query on every attribute but one, and more than k of its tuples") {
+    val s = new DenseRegionStore
+    s.add(Box(Map("x" -> Interval.point(1.0), "y" -> Interval(0.0, 1.0))), (1L to 3L).map(t(_, 1.0)))
+    val query             = q("x" -> Interval(0.0, 2.0), "y" -> Interval(0.2, 0.8))
+    val Some((a, iv, ts)) = s.cut(query, 2)
+    assert(a == "x" && iv == Interval.point(1.0) && ts.map(_.id) == Vector(1L, 2L, 3L))
+    assert(s.cut(query, 3).isEmpty, "the region holds at most k of the query's tuples")
+    assert(s.cut(q("x" -> Interval(0.0, 2.0), "y" -> Interval(0.2, 1.5)), 2).isEmpty, "cuts on two attributes")
+    assert(s.cut(q("x" -> Interval(2.0, 3.0), "y" -> Interval(0.2, 0.8)), 2).isEmpty, "misses on x")
+    assert(s.cut(q("y" -> Interval(0.2, 0.8)), 2).map(_._1).contains("x"), "a query leaving x unconstrained")
   }
 
   test("replaceAll swaps the content atomically") {

@@ -61,6 +61,50 @@ object ModelProps extends Properties("webdb.model") {
       }
     }
 
+  /** Two numeric attributes and one categorical, with the advertised
+    * domains every generated tuple lies in.
+    */
+  private val schema = WebSchema("props", "id", Seq("x", "y"), Seq("c"),
+    Map("x" -> Interval(-60.0, 60.0), "y" -> Interval(-60.0, 60.0)), Map("c" -> Seq("a", "b", "c")))
+
+  private val genTuple: Gen[WebTuple] = for {
+    v <- genV
+    w <- genV
+    c <- Gen.oneOf(schema.catDomains("c"))
+  } yield WebTuple(1L, Map("x" -> v, "y" -> w), Map("c" -> c))
+
+  /** An interval of [[genIv]], or one reaching to or past both ends of the
+    * domain, open or closed at the top.
+    */
+  private val genConstraint: Gen[Interval] = Gen.oneOf(genIv, for {
+    a  <- Gen.chooseNum(0.0, 5.0)
+    b  <- Gen.chooseNum(0.0, 5.0)
+    hi <- Gen.oneOf(true, false)
+  } yield Interval(-60.0 - a, 60.0 + b, hiIncl = hi))
+
+  /** Each attribute constrained or not; a categorical set may hold the
+    * whole domain.
+    */
+  private val genQuery: Gen[WebQuery] = for {
+    x  <- Gen.option(genConstraint)
+    y  <- Gen.option(genConstraint)
+    cs <- Gen.option(Gen.someOf(schema.catDomains("c")))
+  } yield WebQuery(Seq("x" -> x, "y" -> y).collect { case (a, Some(iv)) => a -> iv }.toMap,
+    cs.map(vs => Map("c" -> vs.toSet)).getOrElse(Map.empty))
+
+  property("the canonical form matches exactly the in-domain tuples the query matches") =
+    Prop.forAll(genQuery, genTuple) { (q, t) =>
+      schema.canonical(q).matches(t) == q.matches(t)
+    }
+
+  property("a cut's pieces are disjoint, bounded, and match exactly the query's tuples") =
+    Prop.forAll(genQuery, genIv, genTuple) { (q, iv, t) =>
+      val pieces = schema.outside(q, "x", iv)
+      val qIv    = q.num.getOrElse("x", schema.numDomains("x"))
+      pieces.forall(_.num("x").subsetOf(qIv)) &&
+        (q.and("x", iv) +: pieces).count(_.matches(t)) == (if (q.matches(t)) 1 else 0)
+    }
+
   property("KeySpace flip round-trip") = Prop.forAll(genIv, genV) { (iv, v) =>
     import repro.core.KeySpace
     val ks = KeySpace("x", asc = false, Interval(-60.0, 60.0))

@@ -93,6 +93,17 @@ class WebDbSpec extends SparkSpec {
     assert(conn.acc.queries == 1 && conn.acc.rounds == 1)
   }
 
+  test("the full probes of an ascending and a descending 1D search bill one query between them") {
+    val db   = TestFixtures.diamonds(spark)
+    val conn = new WebDbConn(db)
+    val d    = db.schema.numDomains("price")
+    val asc  = WebQuery.all.and("price", Interval.openClosed(d.lo - 1, d.hi))
+    val desc = WebQuery.all.and("price", Interval(d.lo, d.hi + 1, hiIncl = false))
+    val rs   = Seq(asc, desc).map(conn.topK)
+    assert(rs.forall(_ == db.rawTopK(WebQuery.all)))
+    assert(conn.acc.queries == 1 && conn.acc.rounds == 1)
+  }
+
   test("a batch bills one round of only its queries inside the domains") {
     val conn = new WebDbConn(TestFixtures.diamonds(spark))
     val res  = conn.batch(Seq(
