@@ -108,11 +108,12 @@ final case class WebSchema(
   /** The parts of `q` with `attr` below and above `iv`, empty parts
     * dropped. With `q ∧ attr ∈ iv` they partition `q`; each is bounded by
     * `q`'s interval on `attr`, or by the advertised domain where `q` leaves
-    * `attr` unconstrained.
+    * `attr` unconstrained. Outside an empty `iv` lies all of `q`.
     */
   def outside(q: WebQuery, attr: String, iv: Interval): Seq[WebQuery] = {
     val qIv = q.num.getOrElse(attr, numDomains(attr))
-    Seq(
+    if (iv.isEmpty) Seq(q.and(attr, qIv))
+    else Seq(
       Interval(Double.NegativeInfinity, iv.lo, loIncl = false, hiIncl = !iv.loIncl),
       Interval(iv.hi, Double.PositiveInfinity, loIncl = !iv.hiIncl, hiIncl = false),
     ).map(qIv.intersect).filterNot(_.isEmpty).map(q.and(attr, _))
@@ -177,12 +178,14 @@ final case class Box(dims: Map[String, Interval]) {
 
   /** Split along `attr` at its midpoint into `[lo, mid]` and `(mid, hi]`
     * (boundary kinds inherited from the parent so children partition it).
+    * Each child is intersected with the parent, so an empty interval, or
+    * a midpoint rounded onto an open end, yields no value outside it.
     */
   def split(attr: String): (Box, Box) = {
     val iv = dims(attr)
     val m  = iv.mid
-    val left  = iv.copy(hi = m, hiIncl = true)
-    val right = iv.copy(lo = m, loIncl = false)
+    val left  = iv.intersect(iv.copy(hi = m, hiIncl = true))
+    val right = iv.intersect(iv.copy(lo = m, loIncl = false))
     (copy(dims = dims.updated(attr, left)), copy(dims = dims.updated(attr, right)))
   }
 }
