@@ -24,12 +24,16 @@ object Experiments {
   /** Smaller SF for the quadratic-ish anti-correlated baseline sweeps. */
   def benchSfSmall: Double = benchSf / 2
 
-  /** Cost of one user's first page: a new session on `service` → top-10. */
-  def page(service: Qr2Service, base: WebQuery, spec: RankSpec, algo: Algo): DbStats = {
+  /** One user's first page: a new session on `service` → top-10. */
+  def firstPage(service: Qr2Service, base: WebQuery, spec: RankSpec, algo: Algo): Qr2Session = {
     val session = service.newSession(base, spec, algo)
     session.getPage(10)
-    session.stats
+    session
   }
+
+  /** Cost of one user's first page. */
+  def page(service: Qr2Service, base: WebQuery, spec: RankSpec, algo: Algo): DbStats =
+    firstPage(service, base, spec, algo).stats
 
   // -------------------------------------------------------------------
   // Table 1 — Fig 2: parallel-processed iterations (Blue Nile, 2D & 3D)
@@ -44,6 +48,7 @@ object Experiments {
       parallelQueryFrac: Double,
       crawlQueries: Long,
       crawlBound: Long,
+      boxesPassed: Long,
   )
 
   /** MD-RERANK top-10 discovery on the diamond catalogue with the paper's
@@ -57,19 +62,20 @@ object Experiments {
       (3, "price - 0.1*carat - 0.5*depth",
         MDRank(Seq("price" -> 1.0, "carat" -> -0.1, "depth" -> -0.5))),
     ).map { case (d, label, rank) =>
-      val s = page(new Qr2Service(db), WebQuery.all, rank, Algo.Rerank)
+      val session = firstPage(new Qr2Service(db), WebQuery.all, rank, Algo.Rerank)
+      val s       = session.stats
       T1Row(d, label, s.rounds, s.parallelRounds, s.parallelFraction, s.parallelQueryFraction,
-        s.crawlQueries, s.crawlLowerBound(db.k))
+        s.crawlQueries, s.crawlLowerBound(db.k), session.boxesPassed)
     }
   }
 
   def report1(rows: Seq[T1Row]): String = render(
     "Table 1 — parallel iterations, MD-RERANK on diamonds, fresh service per cell " +
       "(paper Fig 2: 2D 44/45 ≈ 97.8% parallel iters, 3D > 90% of queries parallel)",
-    Seq("dims", "ranking", "rounds", "parallel rounds", "round %", "query %", CrawlHeader),
+    Seq("dims", "ranking", "rounds", "parallel rounds", "round %", "query %", CrawlHeader, PassedHeader),
     rows.map(r => Seq(r.dims.toString, r.ranking, r.rounds.toString,
       r.parallelRounds.toString, pct(r.parallelRoundFrac), pct(r.parallelQueryFrac),
-      crawl(r.crawlQueries, r.crawlBound))),
+      crawl(r.crawlQueries, r.crawlBound), r.boxesPassed.toString)),
   )
 
   // -------------------------------------------------------------------
@@ -159,6 +165,7 @@ object Experiments {
       rounds: Long,
       crawlQueries: Long,
       crawlBound: Long,
+      boxesPassed: Long,
   )
 
   def table4(spark: SparkSession, sf: Double = benchSfSmall): Seq[T4Row] = {
@@ -180,15 +187,17 @@ object Experiments {
       (label, rank)    <- rankings
       (algoName, algo) <- algos
     } yield {
-      val s = page(new Qr2Service(db), WebQuery.all, rank, algo)
-      T4Row(label, algoName, s.queries, s.rounds, s.crawlQueries, s.crawlLowerBound(db.k))
+      val session = firstPage(new Qr2Service(db), WebQuery.all, rank, algo)
+      val s       = session.stats
+      T4Row(label, algoName, s.queries, s.rounds, s.crawlQueries, s.crawlLowerBound(db.k), session.boxesPassed)
     }
   }
 
   def report4(rows: Seq[T4Row]): String = render(
     "Table 4 — MD top-10 query cost by ranking function, fresh service per cell",
-    Seq("ranking", "algo", "queries", "rounds", CrawlHeader),
-    rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, r.rounds.toString, crawl(r.crawlQueries, r.crawlBound))),
+    Seq("ranking", "algo", "queries", "rounds", CrawlHeader, PassedHeader),
+    rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, r.rounds.toString, crawl(r.crawlQueries, r.crawlBound),
+      r.boxesPassed.toString)),
   )
 
   // -------------------------------------------------------------------
@@ -354,4 +363,9 @@ object Experiments {
   /** Column header and cell for crawl queries next to their ⌈n/k⌉ bound. */
   private val CrawlHeader = "crawl / ⌈n/k⌉"
   private def crawl(queries: Long, bound: Long): String = s"$queries / $bound"
+
+  /** Column header for the boxes a branch-and-bound descent passed over
+    * without a query (0 for the other strategies).
+    */
+  private val PassedHeader = "boxes passed"
 }

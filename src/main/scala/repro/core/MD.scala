@@ -83,27 +83,38 @@ abstract class MDAlgorithm(
   /** Improve the best candidate until no unexplored box can beat it. */
   protected def search(): Unit
 
-  /** One round of the search. Boxes are drawn from `boxes` until it runs
-    * dry or [[WebDbConn.MaxPar]] of them need a query; a box inside a
+  /** True when `b` is no wider than the policy's give-up width: an
+    * overflowing query of it is crawled, not split.
+    */
+  protected def atGiveUpWidth(b: Box): Boolean = widestDim(b)._2 <= policy.widthMD
+
+  /** One round of the search. Up to [[WebDbConn.MaxPar]] boxes are drawn
+    * from `boxes`, all at the `s*` the round began with; a box inside a
     * complete region the policy reads ([[DensePolicy.content]]) resolves
     * locally, and the rest go out as **one parallel batch**. The
     * responses are considered in batch order: a box overflowing at the
     * policy's give-up width is crawled, any other overflowing box is handed
-    * to `overflow` at once, so the caller sees `s*` as the earlier
-    * responses of the round left it.
+    * to `overflow` at once, so the caller sees `s*` as the local answers
+    * and the earlier responses of the round left it. The boxes need not
+    * be ones the search queued: [[MDBranchAndBound]] hands in the box its
+    * descent reached, and learns from `overflow` whether it was split.
+    *
+    * What a round draws depends only on the search's state when it
+    * begins, not on which of its boxes the caches answer, and a box
+    * answers the same whether it resolves locally or is sent. So a session
+    * that repeats an earlier one on the same answer cache draws the same
+    * boxes and sends only queries the cache holds: it bills nothing.
     */
   protected final def round(boxes: Iterator[Box])(overflow: Box => Unit): Unit = {
-    val batch = mutable.Buffer.empty[Box]
-    while (batch.size < WebDbConn.MaxPar && boxes.hasNext) {
-      val box = boxes.next()
-      val known = policy.content(conn, box.toQuery(base))
-      if (known.isDefined) candidates.add(known.get) else batch += box
-    }
+    val drawn = boxes.take(WebDbConn.MaxPar).toVector
+    val known = drawn.map(box => policy.content(conn, box.toQuery(base)))
+    known.flatten.foreach(candidates.add)
+    val batch = drawn.zip(known).collect { case (box, None) => box }
     if (batch.nonEmpty) {
-      val responses = conn.batch(batch.toSeq.map(_.toQuery(base)))
+      val responses = conn.batch(batch.map(_.toQuery(base)))
       batch.lazyZip(responses).foreach { (box, res) =>
         candidates.add(res.tuples)
-        if (res.overflow && widestDim(box)._2 <= policy.widthMD) candidates.add(policy.crawl(conn, base, box))
+        if (res.overflow && atGiveUpWidth(box)) candidates.add(policy.crawl(conn, base, box))
         else if (res.overflow) overflow(box)
       }
     }
@@ -119,6 +130,18 @@ abstract class MDAlgorithm(
   * decides how a box that is still overflowing at its give-up width is
   * resolved and whether indexed regions resolve boxes locally.
   *
+  * A popped box of which only one half could still beat the candidate is
+  * not queried (a *descent*): the search queues the other half and moves
+  * into the viable one, level after level, while exactly one half is
+  * viable, the box is wider than the give-up width and the descent is
+  * shorter than the session's *reach*. The box it reached goes to the
+  * round like any popped box. The reach starts at one level. It doubles
+  * after every round in which each descended box overflowed and was
+  * split, and falls back to one level after a round in which one was
+  * not: it came back complete, resolved locally, or was crawled at the
+  * give-up width. The halves still cover the box, so a candidate is
+  * emitted, as before, only when no queued box can beat it.
+  *
   * The queue and the candidates last for the whole session, so a get-next
   * resumes where the previous one stopped and nothing is re-walked. After
   * the get-next that emitted score `s`, every queued box has a best score
@@ -133,30 +156,72 @@ class MDBranchAndBound(
     policy: DensePolicy,
 ) extends MDAlgorithm(conn, base, f, norm, policy) {
 
-  import MDBranchAndBound.Entry
+  import MDBranchAndBound.{Entry, MaxReach}
   private implicit val entryOrd: Ordering[Entry] =
     Ordering.by((e: Entry) => (-e.ms, -e.serial)) // max-heap: lowest ms, then oldest, first
   private var serial = 0L
   private val pq     = mutable.PriorityQueue.empty[Entry]
+  private var reach  = 1
+  private var passed = 0L
+
+  /** Boxes the session passed over without a query while descending. */
+  def boxesPassed: Long = passed
 
   private def push(b: Box): Unit =
     if (!b.isEmpty) { serial += 1; pq.enqueue(Entry(minScoreOf(b), serial, b)) }
 
+  private def viable(b: Box): Boolean = !b.isEmpty && minScoreOf(b) < sStar
+
+  /** The box reached from `box` by descending, within the reach, into its
+    * only viable half while it has one; each half passed over is queued.
+    * Returns the box and whether it is a descendant of `box`.
+    */
+  private def descend(box: Box): (Box, Boolean) = {
+    var b      = box
+    var levels = 0
+    var more   = true
+    while (more && levels < reach && !atGiveUpWidth(b)) {
+      val (b1, b2) = b.split(widestDim(b)._1)
+      (viable(b1), viable(b2)) match {
+        case (true, false) => push(b2); b = b1; levels += 1
+        case (false, true) => push(b1); b = b2; levels += 1
+        case _             => more = false
+      }
+    }
+    passed += levels
+    (b, levels > 0)
+  }
+
   push(initialBox)
 
   protected def search(): Unit = {
-    def viable: Boolean = pq.nonEmpty && pq.head.ms < sStar
-    // The iterator is lazy: each pop re-checks `s*` as local hits tighten it.
-    while (viable)
-      round(Iterator.continually(pq).takeWhile(_ => viable).map(_.dequeue().box)) { box =>
+    def viableHead: Boolean = pq.nonEmpty && pq.head.ms < sStar
+    while (viableHead) {
+      val descended = mutable.Set.empty[Box]
+      var split     = 0
+      // Draws stop at the first queued box that cannot beat `s*`.
+      round(Iterator.continually(pq).takeWhile(_ => viableHead).map { q =>
+        val (b, moved) = descend(q.dequeue().box)
+        if (moved) descended += b
+        b
+      }) { box =>
+        if (descended(box)) split += 1
         val (b1, b2) = box.split(widestDim(box)._1)
         push(b1); push(b2)
       }
+      if (descended.nonEmpty) reach = if (split == descended.size) math.min(2 * reach, MaxReach) else 1
+    }
   }
 }
 
 object MDBranchAndBound {
   private final case class Entry(ms: Double, serial: Long, box: Box)
+
+  /** Bound on the reach, far beyond any descent's depth (each level halves
+    * one dimension, and none halves past the give-up width), so doubling
+    * stops before the `Int` overflows.
+    */
+  private val MaxReach = 1 << 16
 }
 
 /** MD-BINARY: branch-and-bound under [[DensePolicy.Unindexed]] — a box is

@@ -30,8 +30,10 @@ final case class Normalizer(minMax: Map[String, (Double, Double)]) {
 }
 
 object Normalizer {
-  /** Normalizer from the schema's advertised domains (used when true
-    * extrema have not been discovered yet, e.g. inside the MD box logic).
+  /** Normalizer from the schema's advertised domains, for 1D orders, which
+    * any monotone normalization leaves unchanged: the service's 1D
+    * `resultsAsDataFrame` re-rank uses it, and MD sessions use the
+    * discovered extrema instead.
     */
   def fromDomains(schema: WebSchema, attrs: Seq[String]): Normalizer =
     Normalizer(attrs.map { a =>

@@ -164,6 +164,14 @@ final class Qr2Session(
   /** Session cost so far (the statistics panel numbers). */
   def stats: DbStats = acc.snapshot
 
+  /** Boxes the session's branch-and-bound passed over without a query
+    * ([[MDBranchAndBound.boxesPassed]]); 0 under every other strategy.
+    */
+  def boxesPassed: Long = impl match {
+    case b: MDBranchAndBound => b.boxesPassed
+    case _                   => 0L
+  }
+
   /** Simulated processing time: rounds at `DbStats.DefaultLatencyMs` each. */
   def simulatedMs: Long = stats.simulatedMs
 

@@ -169,33 +169,33 @@ class CostPinSpec extends SparkSpec {
     "MD-BASELINE [price - 0.5 carat] unfiltered" ->
       Pin(241, 43, 41, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BINARY [price - 0.5 carat] unfiltered" ->
-      Pin(116, 31, 19, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+      Pin(83, 22, 14, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-RERANK [price - 0.5 carat] unfiltered" ->
-      Pin(116, 31, 19, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+      Pin(83, 22, 14, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-TA [price - 0.5 carat] unfiltered" ->
       Pin(565, 259, 154, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BASELINE [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(114, 66, 48, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BINARY [price - 0.1 carat - 0.5 depth] unfiltered" ->
-      Pin(71, 25, 16, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+      Pin(50, 18, 11, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-RERANK [price - 0.1 carat - 0.5 depth] unfiltered" ->
-      Pin(71, 25, 16, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+      Pin(50, 18, 11, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-TA [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(286, 124, 83, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BASELINE [price - 0.5 carat] cut=Ideal" ->
       Pin(160, 47, 37, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-BINARY [price - 0.5 carat] cut=Ideal" ->
-      Pin(64, 21, 10, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+      Pin(53, 20, 9, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-RERANK [price - 0.5 carat] cut=Ideal" ->
-      Pin(64, 21, 10, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+      Pin(53, 20, 9, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-TA [price - 0.5 carat] cut=Ideal" ->
       Pin(166, 90, 38, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-BASELINE [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
       Pin(91, 56, 35, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-BINARY [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
-      Pin(33, 19, 10, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+      Pin(23, 13, 8, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-RERANK [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
-      Pin(33, 19, 10, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+      Pin(23, 13, 8, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-TA [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
       Pin(127, 63, 32, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "1D-BASELINE lwr asc" ->
@@ -209,21 +209,21 @@ class CostPinSpec extends SparkSpec {
     "MD-BASELINE [lwr]" ->
       Pin(60, 11, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "MD-BINARY [lwr]" ->
-      Pin(79, 30, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+      Pin(64, 15, 9, 58, 210, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "MD-RERANK [lwr]" ->
-      Pin(68, 17, 9, 60, 214, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
+      Pin(64, 13, 9, 60, 214, Seq(1, 2, 9, 11, 16, 20, 25, 26, 27, 31, 42, 45, 46, 66, 67, 73, 81, 86, 92, 95)),
     "MD-BASELINE [price + lwr]" ->
       Pin(45, 34, 10, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
     "MD-BINARY [price + lwr]" ->
-      Pin(37, 32, 2, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
+      Pin(38, 21, 9, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
     "MD-RERANK [price + lwr] #1" ->
-      Pin(37, 19, 4, 22, 72, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
+      Pin(27, 9, 4, 22, 72, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
     "MD-RERANK [price + lwr] #2" ->
-      Pin(14, 14, 0, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
+      Pin(4, 4, 0, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
     "MD-RERANK [price + lwr] cut=Good" ->
-      Pin(41, 23, 4, 23, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
+      Pin(31, 13, 4, 23, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
     "MD-RERANK [price + lwr] cut=Good after 1D-RERANK lwr asc" ->
-      Pin(19, 19, 0, 1, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
+      Pin(9, 9, 0, 1, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
   )
 }
 

@@ -220,6 +220,26 @@ class Qr2ServiceSpec extends SparkSpec {
     }
   }
 
+  test("a repeated session that descends past boxes bills no query and no round, and emits the same ids") {
+    val db = TestFixtures.diamonds(spark)
+    val sessions = Seq(
+      (WebQuery.all, MDRank(Seq("price" -> 1.0, "lwr" -> 1.0)), Algo.Binary),
+      (WebQuery.all, MDRank(Seq("price" -> 1.0, "carat" -> -0.1, "depth" -> -0.5)), Algo.Rerank),
+    )
+    for ((base, spec, algo) <- sessions) {
+      val service = new Qr2Service(db)
+      val first   = service.newSession(base, spec, algo)
+      val ids     = first.getPage(10).map(_.id) ++ first.getPage(10).map(_.id)
+      assert(ids == truthIds(db, base, spec, 20), s"$algo $spec")
+      assert(first.boxesPassed > 0, s"$algo $spec: the session never descended")
+      val again    = service.newSession(base, spec, algo)
+      val idsAgain = again.getPage(10).map(_.id) ++ again.getPage(10).map(_.id)
+      assert(idsAgain == ids, s"$algo $spec")
+      assert(again.stats.queries == 0 && again.stats.rounds == 0,
+        s"$algo $spec: repeat ${again.statsPanel} after ${first.statsPanel}")
+    }
+  }
+
   test("a BINARY session after a RERANK session of the same houses ranking is correct and bills less") {
     val db    = TestFixtures.houses(spark)
     val spec  = MDRank(Seq("price" -> 0.7, "sqft" -> -0.1))
