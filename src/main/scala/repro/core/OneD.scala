@@ -3,13 +3,14 @@ package repro.core
 import repro.service.DenseRegionStore
 import repro.webdb._
 
+import scala.annotation.tailrec
 import scala.collection.mutable
 
 /** Shared skeleton of the three 1D get-next strategies.
   *
   * A get-next first drains the *pending tie group* — all tuples sharing the
   * current attribute value. When the group is exhausted the strategy-specific
-  * [[findNextKey]] locates the next distinct attribute value with at least
+  * key [[search]] locates the next distinct attribute value with at least
   * one matching tuple, and [[materializeGroup]] fetches the full value group
   * (via one top-k query, or — when more than system-k tuples share the value,
   * the paper's *general positioning* problem — via the crawler, as the
@@ -35,31 +36,33 @@ abstract class OneDAlgorithm(
   final def getNext(): Option[WebTuple] = {
     if (pending.nonEmpty) return Some(pending.dequeue())
     if (exhausted) return None
-    findNextKey(frontier) match {
+    KeySearch.run(conn, search(frontier)) match {
       case None => exhausted = true; None
       case Some(kv) =>
         val v     = ks.raw(kv)
         val group = materializeGroup(v).sortBy(_.id)
-        require(group.nonEmpty, s"findNextKey returned key $kv with no matching tuple ($attr=$v)")
+        require(group.nonEmpty, s"the key search returned key $kv with no matching tuple ($attr=$v)")
         pending ++= group
         frontier = Some(kv)
         getNext()
     }
   }
 
-  /** Key of the next distinct matching attribute value strictly beyond the
-    * frontier (`None` once no further value exists). Strategy-specific.
+  /** The search, in step form, for the key of the next distinct matching
+    * attribute value strictly beyond the frontier (`None` once no further
+    * value exists). Strategy-specific.
     */
-  protected def findNextKey(frontierKey: Option[Double]): Option[Double]
+  protected def search(frontierKey: Option[Double]): KeySearch
 
-  /** The best matching attribute value (the minimum ascending, the maximum
-    * descending), found by the key search alone: the value's tie group is
-    * not fetched. This is all min/max discovery needs. Called on a fresh
-    * searcher it sends no prefix round ([[OneDHalving]]): nothing is seen
-    * yet, and a prefix round would prove values after the first, which
-    * discovery never asks for.
+  /** The search for the best matching attribute value (the minimum
+    * ascending, the maximum descending), in step form, by the key search
+    * alone: the value's tie group is not fetched. This is all min/max
+    * discovery needs, and it runs these searches in lockstep
+    * ([[KeySearch.lockstep]]). On a fresh searcher it sends no prefix round
+    * ([[OneDHalving]]): nothing is seen yet, and a prefix round would prove
+    * values after the first, which discovery never asks for.
     */
-  final def firstValue(): Option[Double] = findNextKey(None).map(ks.raw)
+  final def firstValue: KeySearch = search(None).map(ks.raw)
 
   /** All matching tuples with `attr = v`. Overflowing value groups are
     * crawled — the QR2 fix for >k tuples sharing a value. A group inside a
@@ -94,19 +97,88 @@ abstract class OneDAlgorithm(
   protected final def seenBeyond(lo: Double): Iterator[Double] =
     seen.iteratorFrom((lo, Long.MaxValue)).map(_._1).dropWhile(_ <= lo)
 
-  /** Probe `base ∧ attr ∈ raw(kIv)` for every key interval, in one round
-    * through the accounted connection.
+  /** Probe `base ∧ attr ∈ raw(kIv)` for every key interval, in one round,
+    * and continue with the answers.
     */
-  protected final def probes(kIvs: Seq[Interval]): Seq[TopKResponse] = {
-    val rs = conn.batch(kIvs.map(kIv => base.and(attr, ks.toRaw(kIv))))
-    if (policy.observedMin) for (r <- rs; t <- r.tuples) seen += ((ks.key(t.num(attr)), t.id))
-    rs
-  }
+  protected final def probes(kIvs: Seq[Interval])(resume: Seq[TopKResponse] => KeySearch): KeySearch =
+    KeySearch.Ask(kIvs.map(kIv => base.and(attr, ks.toRaw(kIv))), { rs =>
+      if (policy.observedMin) for (r <- rs; t <- r.tuples) seen += ((ks.key(t.num(attr)), t.id))
+      resume(rs)
+    })
 
-  protected final def probe(kIv: Interval): TopKResponse = probes(Seq(kIv)).head
+  protected final def probe(kIv: Interval)(resume: TopKResponse => KeySearch): KeySearch =
+    probes(Seq(kIv))(rs => resume(rs.head))
 
   protected final def minKey(res: TopKResponse): Double =
     res.tuples.iterator.map(t => ks.key(t.num(attr))).min
+
+  protected final def found(key: Double): KeySearch = KeySearch.Found(Some(key))
+}
+
+/** A 1D key search in step form: either the answer, or one round of
+  * queries to send and how the search continues with their answers. A
+  * search holds no connection; its driver sends each round, so
+  * independent searches can share rounds ([[KeySearch.lockstep]]). A step
+  * that crawls sends the crawl's own rounds while it runs.
+  */
+sealed trait KeySearch {
+
+  /** The same search, with `f` applied to the key it finds. */
+  final def map(f: Double => Double): KeySearch = this match {
+    case KeySearch.Found(key)           => KeySearch.Found(key.map(f))
+    case KeySearch.Ask(queries, resume) => KeySearch.Ask(queries, rs => resume(rs).map(f))
+  }
+}
+
+object KeySearch {
+
+  /** The search's answer: the key found, or `None` when no key exists. */
+  final case class Found(key: Option[Double]) extends KeySearch
+
+  /** One round of `queries`; `resume` takes their answers, in order. */
+  final case class Ask(queries: Seq[WebQuery], resume: Seq[TopKResponse] => KeySearch) extends KeySearch
+
+  val none: KeySearch = Found(None)
+
+  /** Run one search through `conn`, one round per step. */
+  def run(conn: WebDbConn, search: KeySearch): Option[Double] = lockstep(conn, Seq(search)).head
+
+  /** Run `searches` together through `conn`. Each search first takes every
+    * step the connection answers locally; then one round carries the next
+    * queries of every search still asking, in order. The searches thus take
+    * as many rounds as the longest of them, and each sends the queries it
+    * sends alone, unless another's answer lets the connection answer one
+    * locally. A round holding more than [[WebDbConn.MaxPar]] queries is
+    * sent as several. Deterministic: the searches resume in order, on the
+    * calling thread. Returns their answers, in order.
+    */
+  def lockstep(conn: WebDbConn, searches: Seq[KeySearch]): Seq[Option[Double]] = {
+    @tailrec def advance(s: KeySearch): KeySearch = s match {
+      case Ask(qs, resume) =>
+        conn.local(qs) match {
+          case Some(rs) => advance(resume(rs))
+          case None     => s
+        }
+      case done: Found => done
+    }
+    var steps = searches.toVector.map(advance)
+    while (steps.exists(_.isInstanceOf[Ask])) {
+      val answers = steps
+        .flatMap { case Ask(qs, _) => qs; case _: Found => Nil }
+        .grouped(WebDbConn.MaxPar)
+        .flatMap(conn.batch(_))
+        .toVector
+      var at = 0
+      steps = steps.map {
+        case Ask(qs, resume) =>
+          val rs = answers.slice(at, at + qs.size)
+          at += qs.size
+          advance(resume(rs))
+        case done: Found => done
+      }
+    }
+    steps.map { case Found(key) => key; case _: Ask => sys.error("unreachable") }
+  }
 }
 
 /** 1D-BASELINE — query the whole remaining interval and narrow the upper
@@ -119,22 +191,23 @@ abstract class OneDAlgorithm(
 final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean)
     extends OneDAlgorithm(conn, base, attr, asc, DensePolicy.Unindexed) {
 
-  protected def findNextKey(frontierKey: Option[Double]): Option[Double] = {
-    val lo                     = startKey(frontierKey)
-    var cand: Option[Double]   = None // smallest *matching* key seen so far
-    while (true) {
-      val iv = cand match {
-        case Some(c) => Interval(lo, c, loIncl = false, hiIncl = false)
-        case None    => Interval(lo, ks.keyDomain.hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl)
-      }
-      if (iv.isEmpty) return cand
-      val res = probe(iv)
-      if (res.isEmpty) return cand
-      val mk = minKey(res)
-      if (!res.overflow) return Some(mk)
-      cand = Some(mk) // strictly decreases: the probe interval excluded the old cand
+  protected def search(frontierKey: Option[Double]): KeySearch = narrow(startKey(frontierKey), None)
+
+  /** Probe `(lo, cand)`, where `cand` is the smallest matching key seen so
+    * far (the rest of the domain before one is seen).
+    */
+  private def narrow(lo: Double, cand: Option[Double]): KeySearch = {
+    val iv = cand match {
+      case Some(c) => Interval(lo, c, loIncl = false, hiIncl = false)
+      case None    => Interval(lo, ks.keyDomain.hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl)
     }
-    sys.error("unreachable")
+    if (iv.isEmpty) KeySearch.Found(cand)
+    else probe(iv) { res =>
+      if (res.isEmpty) KeySearch.Found(cand)
+      else if (!res.overflow) found(minKey(res))
+      // strictly decreases: the probe interval excluded the old cand
+      else narrow(lo, Some(minKey(res)))
+    }
   }
 }
 
@@ -166,76 +239,105 @@ final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boo
   * answers the following get-nexts and value groups unbilled. When every
   * prefix overflows, the halving starts below the smallest seen key, after
   * one more prefix probe if the round returned a key below its narrowest
-  * end. With no seen key beyond `lo`, the search starts with the full
+  * end. If the last prefix sent, `(lo, c]`, returned only tuples keyed `c`,
+  * its overflow came from `c`'s tie group alone, and the open `(lo, c)` is
+  * probed once first: empty, `c` is the answer; no overflow, its smallest
+  * key is. With no seen key beyond `lo`, the search starts with the full
   * probe.
   */
 class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, policy: DensePolicy)
     extends OneDAlgorithm(conn, base, attr, asc, policy) {
 
-  protected def findNextKey(frontierKey: Option[Double]): Option[Double] = {
-    var lo = startKey(frontierKey)
+  protected def search(frontierKey: Option[Double]): KeySearch = fromCoverage(startKey(frontierKey))
 
-    // Answer from, or skip past, contiguous coverage: the furthest-reaching
-    // complete region of the answer cache or the store beyond `lo`.
-    var covered = true
-    while (covered) policy.coverageFrom(conn, base, attr, asc, lo) match {
-      case Some((covEnd, covIncl, ts)) =>
-        val cand = ts.iterator.filter(base.matches).map(t => ks.key(t.num(attr))).filter(_ > lo).minOption
-        if (cand.isDefined) return cand
-        // The stretch is empty under this filter. An open end leaves `covEnd`
-        // itself uncovered: probe it before skipping.
-        if (!covIncl && !probe(Interval.point(covEnd)).isEmpty) return Some(covEnd)
-        lo = covEnd
-      case None => covered = false
-    }
+  /** Answer from, or skip past, contiguous coverage: the furthest-reaching
+    * complete region of the answer cache or the store beyond `lo`.
+    */
+  private def fromCoverage(lo: Double): KeySearch = policy.coverageFrom(conn, base, attr, asc, lo) match {
+    case Some((covEnd, covIncl, ts)) =>
+      ts.iterator.filter(base.matches).map(t => ks.key(t.num(attr))).filter(_ > lo).minOption match {
+        case Some(c) => found(c)
+        // The stretch is empty under this filter. An open end leaves
+        // `covEnd` itself uncovered: probe it before skipping.
+        case None if !covIncl =>
+          probe(Interval.point(covEnd))(res => if (res.isEmpty) fromCoverage(covEnd) else found(covEnd))
+        case None => fromCoverage(covEnd)
+      }
+    case None =>
+      val full = Interval(lo, ks.keyDomain.hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl)
+      if (full.isEmpty) KeySearch.none
+      else if (seenBeyond(lo).hasNext) fromSeen(lo)
+      else probe(full) { first =>
+        if (first.isEmpty) KeySearch.none
+        else if (!first.overflow) found(minKey(first))
+        else halve(lo, if (policy.observedMin) minKey(first) else ks.keyDomain.hi)
+      }
+  }
 
-    var hi   = ks.keyDomain.hi
-    val full = Interval(lo, hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl)
-    if (full.isEmpty) return None
-    if (seenBeyond(lo).hasNext) {
-      // A seen key beyond `lo` is a matching bound, so the full probe is
-      // moot: prove the answer from a prefix, or halve below the smallest
-      // seen key.
-      val ends = prefixEnds(lo)
-      if (ends.nonEmpty) {
-        probes(ends.map(Interval.openClosed(lo, _))).find(!_.overflow).foreach(r => return Some(minKey(r)))
-        // The round returned a key below its narrowest end: one more prefix.
-        val c = seenBeyond(lo).next()
-        if (c < ends.last) {
-          val res = probe(Interval.openClosed(lo, c))
-          if (!res.overflow) return Some(minKey(res))
-        }
+  /** A seen key beyond `lo` is a matching bound, so the full probe is moot:
+    * prove the answer from a prefix, or halve below the smallest seen key.
+    */
+  private def fromSeen(lo: Double): KeySearch = {
+    val ends = prefixEnds(lo)
+    if (ends.isEmpty) halve(lo, seenBeyond(lo).next())
+    else probes(ends.map(Interval.openClosed(lo, _))) { rs =>
+      rs.find(!_.overflow) match {
+        case Some(res) => found(minKey(res))
+        case None =>
+          // The round returned a key below its narrowest end: one more prefix.
+          val c = seenBeyond(lo).next()
+          if (c < ends.last)
+            probe(Interval.openClosed(lo, c))(res => if (!res.overflow) found(minKey(res)) else belowTies(lo, c, res))
+          else belowTies(lo, c, rs.last)
       }
-      hi = seenBeyond(lo).next()
-    } else {
-      val first = probe(full)
-      if (first.isEmpty) return None
-      if (!first.overflow) return Some(minKey(first))
-      if (policy.observedMin) hi = minKey(first)
     }
-    // Invariant: (lo, hi] contains at least one matching tuple — with the
-    // observed-min shortcut, `hi` itself is a matching key.
-    while (true) {
-      if (hi - lo <= policy.width1D * domainWidth) {
-        if (policy.observedMin) {
-          // Cheap resolution attempt before declaring the sliver dense.
-          val open = Interval.open(lo, hi)
-          if (open.isEmpty) return Some(hi)
-          val res = probe(open)
-          if (res.isEmpty) return Some(hi)
-          if (!res.overflow) return Some(minKey(res))
-          hi = minKey(res)
-        }
-        val ts = policy.crawl(conn, base, Box(Map(attr -> ks.toRaw(policy.sliver(lo, hi)))))
-        return Some(ts.iterator.map(t => ks.key(t.num(attr))).filter(_ > lo).min)
-      }
+  }
+
+  /** Every prefix overflowed, the last one sent `(lo, c]` with `last`. If
+    * `last` holds only tuples keyed `c`, the overflow came from `c`'s tie
+    * group alone, and one probe of the open `(lo, c)` may settle the key
+    * before any halving.
+    */
+  private def belowTies(lo: Double, c: Double, last: TopKResponse): KeySearch = {
+    val open = Interval.open(lo, c)
+    if (open.isEmpty || last.tuples.exists(t => ks.key(t.num(attr)) != c)) halve(lo, seenBeyond(lo).next())
+    else probe(open) { res =>
+      if (res.isEmpty) found(c)
+      else if (!res.overflow) found(minKey(res))
+      else halve(lo, minKey(res))
+    }
+  }
+
+  /** Halve `(lo, hi]`. Invariant: it contains at least one matching tuple —
+    * with the observed-min shortcut, `hi` itself is a matching key.
+    */
+  private def halve(lo: Double, hi: Double): KeySearch =
+    if (hi - lo <= policy.width1D * domainWidth) sliver(lo, hi)
+    else {
       val mid = lo + (hi - lo) / 2
-      val res = probe(Interval.openClosed(lo, mid))
-      if (res.isEmpty) lo = mid
-      else if (!res.overflow) return Some(minKey(res))
-      else hi = if (policy.observedMin) minKey(res) else mid
+      probe(Interval.openClosed(lo, mid)) { res =>
+        if (res.isEmpty) halve(mid, hi)
+        else if (!res.overflow) found(minKey(res))
+        else halve(lo, if (policy.observedMin) minKey(res) else mid)
+      }
     }
-    sys.error("unreachable")
+
+  /** `(lo, hi]` is narrower than the give-up width: crawl it, after a cheap
+    * resolution attempt under the observed-min shortcut.
+    */
+  private def sliver(lo: Double, hi: Double): KeySearch = {
+    def crawl(hi: Double): KeySearch = {
+      val ts = policy.crawl(conn, base, Box(Map(attr -> ks.toRaw(policy.sliver(lo, hi)))))
+      found(ts.iterator.map(t => ks.key(t.num(attr))).filter(_ > lo).min)
+    }
+    val open = Interval.open(lo, hi)
+    if (!policy.observedMin) crawl(hi)
+    else if (open.isEmpty) found(hi)
+    else probe(open) { res =>
+      if (res.isEmpty) found(hi)
+      else if (!res.overflow) found(minKey(res))
+      else crawl(minKey(res))
+    }
   }
 
   /** Ends of the prefixes to probe beyond `lo`, widest first: of the

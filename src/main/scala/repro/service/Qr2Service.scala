@@ -69,26 +69,45 @@ final class Qr2Service(
 
   /** True min/max of `attr`, discovered on first use via 1D-RERANK in each
     * direction ("obtaining the min and max values on each attribute is
-    * simply doable using the 1D-RERANK algorithm", §II-B). Only the key
-    * search runs: the normalizer needs the extreme values, not the tuples
-    * sharing them. Cached for the service lifetime; discovery runs under
-    * the service's lock, so concurrent first uses run it once.
+    * simply doable using the 1D-RERANK algorithm", §II-B). Cached until
+    * [[verifyCache]]; see [[minMaxes]].
     */
-  def minMax(attr: String): (Double, Double) =
-    minMaxCache.getOrElse(attr, synchronized {
-      minMaxCache.getOrElseUpdate(attr, {
-        val conn = new WebDbConn(db, serviceAcc, cache)
-        def extreme(asc: Boolean): Double =
-          new OneDRerank(conn, WebQuery.all, attr, asc, store)
-            .firstValue()
-            .getOrElse(throw new IllegalStateException(s"empty database: no extreme for $attr"))
-        (extreme(asc = true), extreme(asc = false))
-      })
-    })
+  def minMax(attr: String): (Double, Double) = minMaxes(Seq(attr))(attr)
 
   /** Min-max normalizer over the given ranking attributes. */
-  def normalizer(attrs: Seq[String]): Normalizer =
-    Normalizer(attrs.map(a => a -> minMax(a)).toMap)
+  def normalizer(attrs: Seq[String]): Normalizer = Normalizer(minMaxes(attrs))
+
+  /** The bounds the service holds, by attribute. */
+  def knownBounds: Map[String, (Double, Double)] = minMaxCache.readOnlySnapshot().toMap
+
+  /** The bounds of `attrs`. Those not yet known are discovered together,
+    * under the service's lock, so concurrent first uses discover each
+    * attribute once; a failed discovery keeps no bound of any of them.
+    */
+  private def minMaxes(attrs: Seq[String]): Map[String, (Double, Double)] = {
+    val known = attrs.flatMap(a => minMaxCache.get(a).map(a -> _)).toMap
+    if (known.size == attrs.distinct.size) known
+    else synchronized {
+      minMaxCache ++= discoverMinMax(attrs.distinct.filterNot(minMaxCache.contains))
+      attrs.map(a => a -> minMaxCache(a)).toMap
+    }
+  }
+
+  /** Discovery runs only the key search, in each direction, on the whole
+    * database: the normalizer needs the extreme values, not the tuples
+    * sharing them. The 2m searches of `attrs` run in lockstep
+    * ([[KeySearch.lockstep]]): each round carries the next probe of every
+    * search still running, so discovery takes as many rounds as its longest
+    * search, not the sum of them all. Billed to the service.
+    */
+  private def discoverMinMax(attrs: Seq[String]): Seq[(String, (Double, Double))] = {
+    val conn   = new WebDbConn(db, serviceAcc, cache)
+    val chains = for (a <- attrs; asc <- Seq(true, false)) yield new OneDRerank(conn, WebQuery.all, a, asc, store)
+    val ends   = KeySearch.lockstep(conn, chains.map(_.firstValue)).zip(chains).map { case (v, c) =>
+      v.getOrElse(throw new IllegalStateException(s"empty database: no extreme for ${c.attr}"))
+    }
+    attrs.indices.map(i => attrs(i) -> ((ends(2 * i), ends(2 * i + 1))))
+  }
 
   /** Open a user session: filter predicates + ranking spec + strategy. */
   def newSession(base: WebQuery, spec: RankSpec, algo: Algo = Algo.Rerank): Qr2Session = {
@@ -118,7 +137,9 @@ final class Qr2Service(
     * re-crawl every indexed region through a connection of its own, which
     * reads none of the service's answers, rebuild the store content, and
     * empty the answer cache, which may hold answers the database has since
-    * changed. Returns the number of regions refreshed.
+    * changed, and forget the min/max bounds found from those answers: the
+    * next use discovers them again. Returns the number of regions
+    * refreshed.
     */
   def verifyCache(): Int = synchronized {
     val conn    = new WebDbConn(db, serviceAcc)
@@ -127,6 +148,7 @@ final class Qr2Service(
       (e.box, Crawler.crawlQuery(conn, e.box.toQuery(WebQuery.all)): Seq[WebTuple]))
     store.replaceAll(fresh)
     cache.clear()
+    minMaxCache.clear()
     entries.size
   }
 }

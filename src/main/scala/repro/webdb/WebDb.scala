@@ -153,6 +153,15 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant, val c
     canon.map(answers)
   }
 
+  /** The answers to `qs` the schema and the cache give without a request,
+    * if they answer every one of them.
+    */
+  def local(qs: Seq[WebQuery]): Option[Seq[TopKResponse]] = {
+    val canon   = qs.map(schema.canonical)
+    val answers = cache.answers(canon.distinct, k, knownEmpty)
+    if (canon.forall(answers.contains)) Some(canon.map(answers)) else None
+  }
+
   /** True when the schema shows `q` matches no tuple: `q` is unsatisfiable
     * or its interval on some attribute misses that attribute's domain.
     */

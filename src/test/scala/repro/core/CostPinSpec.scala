@@ -114,22 +114,31 @@ class CostPinSpec extends SparkSpec {
     },
   )
 
+  // The ties-only probe: on 10 000 diamonds, the last prefix of a seen-key
+  // round overflows with one lwr value's tie group alone, and one probe
+  // below that value proves the next key.
+  pin("1D-RERANK lwr desc shape=Round on 10 000 diamonds", TestFixtures.diamonds(spark, 0.05)) { c =>
+    new OneDRerank(c, WebQuery.all.andCat("shape", Set("Round")), "lwr", asc = false, new DenseRegionStore)
+  }
+
   // Min/max discovery (§II-B): the 1D-RERANK key search in each direction,
-  // billed to the service, on a fresh service for each attribute.
-  for (a <- WebData.diamondSchema.numeric)
-    test(s"minMax($a) costs exactly its pinned queries and rounds") {
+  // billed to the service, on a fresh service for each attribute set. The
+  // searches run in lockstep, so rounds are those of the longest search.
+  for (attrs <- WebData.diamondSchema.numeric.map(Seq(_)) :+ Seq("price", "lwr"))
+    test(s"minMax(${attrs.mkString(", ")}) costs exactly its pinned queries and rounds") {
       val service = new Qr2Service(db)
-      service.minMax(a)
-      assert((service.serviceAcc.queries, service.serviceAcc.rounds) == bootstrap(a))
+      service.normalizer(attrs)
+      assert((service.serviceAcc.queries, service.serviceAcc.rounds) == bootstrap(attrs.mkString(", ")))
     }
 
-  /** Queries and rounds of `minMax(attr)`. */
+  /** Queries and rounds of discovering the bounds of the attributes. */
   private lazy val bootstrap: Map[String, (Long, Long)] = Map(
-    "price"     -> (6L, 6L),
-    "carat"     -> (6L, 6L),
-    "depth"     -> (3L, 3L),
-    "table_pct" -> (3L, 3L),
-    "lwr"       -> (3L, 3L),
+    "price"      -> (6L, 5L),
+    "carat"      -> (6L, 6L),
+    "depth"      -> (3L, 2L),
+    "table_pct"  -> (3L, 2L),
+    "lwr"        -> (3L, 3L),
+    "price, lwr" -> (8L, 5L),
   )
 
   /** A change that moves any of these must say why. */
@@ -222,6 +231,8 @@ class CostPinSpec extends SparkSpec {
       Pin(4, 4, 0, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
     "MD-RERANK [price + lwr] cut=Good" ->
       Pin(31, 13, 4, 23, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
+    "1D-RERANK lwr desc shape=Round on 10 000 diamonds" ->
+      Pin(43, 19, 10, 30, 117, Seq(7160, 9638, 380, 742, 1594, 3226, 4062, 6097, 6357, 6526, 6711, 6731, 6919, 7651, 8437, 8813, 549, 760, 2004, 2502)),
     "MD-RERANK [price + lwr] cut=Good after 1D-RERANK lwr asc" ->
       Pin(9, 9, 0, 1, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
   )

@@ -60,6 +60,61 @@ class Qr2ServiceSpec extends SparkSpec {
     assert(service.serviceAcc.rounds == alone.serviceAcc.rounds)
   }
 
+  test("concurrent MD sessions over overlapping attributes discover each attribute once") {
+    val db    = TestFixtures.diamonds(spark)
+    val specs = Seq(MDRank(Seq("price" -> 1.0, "lwr" -> 1.0)), MDRank(Seq("carat" -> 1.0, "lwr" -> 1.0)))
+    val attrs = Seq("price", "carat", "lwr")
+    val alone = new Qr2Service(db)
+    specs.foreach(spec => alone.newSession(WebQuery.all, spec, Algo.Rerank))
+    val service = new Qr2Service(db)
+    val start   = new java.util.concurrent.CountDownLatch(1)
+    val threads = (0 until 4).map { i =>
+      new Thread(() => { start.await(); service.newSession(WebQuery.all, specs(i % 2), Algo.Rerank).getPage(10) })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(service.knownBounds == TestFixtures.trueNorm(db, attrs).minMax)
+    assert(service.serviceAcc.queries == alone.serviceAcc.queries)
+    assert(service.serviceAcc.crawlQueries == 0)
+  }
+
+  test("a lockstep discovery bills the queries of discovering its attributes one by one, in fewer rounds") {
+    val db     = TestFixtures.diamonds(spark)
+    val attrs  = Seq("price", "carat", "depth")
+    val byOne  = new Qr2Service(db)
+    attrs.foreach(byOne.minMax)
+    val service = new Qr2Service(db)
+    assert(service.normalizer(attrs).minMax == TestFixtures.trueNorm(db, attrs).minMax)
+    assert(service.serviceAcc.queries == byOne.serviceAcc.queries)
+    assert(service.serviceAcc.rounds < byOne.serviceAcc.rounds)
+  }
+
+  test("a backend error in discovery propagates, keeps no bound of the run, and a later call discovers them") {
+    val db    = TestFixtures.diamonds(spark)
+    val attrs = Seq("price", "lwr")
+    val truth = TestFixtures.trueNorm(db, attrs).minMax
+    // Requests before and during the run, on a service that knows depth's bounds.
+    val ref    = new Qr2Service(db)
+    ref.minMax("depth")
+    val before = ref.serviceAcc.queries.toInt
+    ref.normalizer(attrs)
+    for (n <- before + 1 to ref.serviceAcc.queries.toInt) {
+      val service = new Qr2Service(new FailingWebDb(db, n))
+      service.minMax("depth")
+      intercept[java.io.IOException](service.normalizer(attrs))
+      assert(service.knownBounds.keySet == Set("depth"), s"request $n failed")
+      assert(service.normalizer(attrs).minMax == truth, s"request $n failed")
+    }
+  }
+
+  test("discovery on an empty database throws IllegalStateException and keeps no bound") {
+    val db      = TestFixtures.diamonds(spark)
+    val service = new Qr2Service(new LocalWebDb(Vector.empty, db.schema, db.k))
+    intercept[IllegalStateException](service.normalizer(Seq("price", "lwr")))
+    assert(service.knownBounds.isEmpty)
+  }
+
   test("service normalizer equals the data-true normalizer") {
     val db      = TestFixtures.houses(spark)
     val service = new Qr2Service(db)
@@ -189,6 +244,27 @@ class Qr2ServiceSpec extends SparkSpec {
     assert(again.stats.queries == alone.stats.queries && again.stats.rounds == alone.stats.rounds,
       s"after verifyCache ${again.statsPanel}, on a fresh service ${alone.statsPanel}")
     assert(alone.stats.queries > 0)
+  }
+
+  test("verifyCache forgets the min/max bounds: later sessions normalize by the changed database") {
+    val db       = TestFixtures.diamonds(spark)
+    val changing = new ChangingWebDb(db)
+    val service  = new Qr2Service(changing)
+    val spec     = MDRank(Seq("price" -> 1.0, "lwr" -> 1.0))
+    service.newSession(WebQuery.all, spec, Algo.Rerank).getPage(10)
+    assert(service.normalizer(spec.attrs).minMax == TestFixtures.trueNorm(db, spec.attrs).minMax)
+    // The database loses the tuples holding the extreme prices.
+    val prices  = db.allTuples.map(_.num("price"))
+    val changed = new LocalWebDb(
+      db.allTuples.filterNot(t => t.num("price") == prices.min || t.num("price") == prices.max), db.schema, db.k)
+    changing.current = changed
+    service.verifyCache()
+    assert(service.knownBounds.isEmpty)
+    val session = service.newSession(WebQuery.all, spec, Algo.Rerank)
+    val got     = session.getPage(10).map(_.id)
+    val norm    = TestFixtures.trueNorm(changed, spec.attrs)
+    assert(service.normalizer(spec.attrs).minMax == norm.minMax)
+    assert(got == TestFixtures.groundTruth(changed, WebQuery.all, spec.toLinear, norm).take(10).map(_.id))
   }
 
   /** One session per strategy and shape: MD on two attributes, 1D in both
