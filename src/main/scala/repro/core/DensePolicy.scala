@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.crawl.Crawler
-import repro.service.DenseRegionStore
 import repro.webdb._
 
 /** How a search resolves a region that still overflows the top-k interface
@@ -10,18 +9,17 @@ import repro.webdb._
   * ref [11] of the QR2 paper); the search loops themselves are shared.
   *
   *  - [[DensePolicy.Unindexed]] (BINARY, BASELINE) narrows to machine
-  *    resolution, then crawls the region conditioned on the user filter and
-  *    indexes nothing in the store; the filtered crawl stays in the
-  *    connection's answer cache like any complete region.
+  *    resolution, then crawls the region conditioned on the user filter;
+  *    the filtered crawl joins the regions of the connection's
+  *    [[AnswerCache]] like any complete region.
   *  - [[DensePolicy.Indexed]] (RERANK, and TA's sorted-access iterators)
   *    gives up early, crawls the region *without* the user filter so the
-  *    result serves every later filter, and adds it to the shared
-  *    [[DenseRegionStore]].
+  *    result serves every later filter, and indexes it in the store of the
+  *    connection's cache.
   *
-  * The policy is also the one place that decides which complete regions a
-  * search reads: those of the connection's [[AnswerCache]] (in a service,
-  * the one cache all its sessions share, whatever their strategy), and
-  * under `Indexed` the store's as well.
+  * The policy does not decide which complete regions a search reads: every
+  * strategy reads the connection's cache ([[WebDbConn.content]],
+  * [[WebDbConn.coverageFrom]]), whose store is its indexed tier.
   *
   * @param width1D give-up width of the 1D halving loop, as a fraction of the
   *                attribute's domain
@@ -33,26 +31,8 @@ import repro.webdb._
   *                of to the probe's own upper end, and prove later keys
   *                from the keys earlier probes returned
   *                ([[OneDHalving]]'s prefix round)
-  * @param indexed the shared store this policy reads and extends, if any
   */
-sealed abstract class DensePolicy(
-    val width1D: Double,
-    val widthMD: Double,
-    val observedMin: Boolean,
-    val indexed: Option[DenseRegionStore],
-) {
-
-  /** Every tuple matching `q`, when a complete region holds them. */
-  final def content(conn: WebDbConn, q: WebQuery): Option[Vector[WebTuple]] =
-    conn.content(q).orElse(indexed.flatMap(_.content(q)))
-
-  /** 1D: the complete region reaching furthest beyond key `lo` of `attr`
-    * ([[CompleteRegions.coverageFrom]]).
-    */
-  final def coverageFrom(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, lo: Double)
-      : Option[CompleteRegions.Coverage] =
-    CompleteRegions.furthest(conn.coverageFrom(base, attr, asc, lo) ++
-      indexed.flatMap(_.coverageFrom(base, attr, asc, lo, conn.schema.numDomains(attr))))
+sealed abstract class DensePolicy(val width1D: Double, val widthMD: Double, val observedMin: Boolean) {
 
   /** 1D: the key interval to crawl when `(lo, hi]` is dense. */
   def sliver(lo: Double, hi: Double): Interval
@@ -63,24 +43,20 @@ sealed abstract class DensePolicy(
 
 object DensePolicy {
 
-  case object Unindexed extends DensePolicy(width1D = 1e-7, widthMD = 1e-6, observedMin = false, indexed = None) {
+  case object Unindexed extends DensePolicy(width1D = 1e-7, widthMD = 1e-6, observedMin = false) {
     def sliver(lo: Double, hi: Double): Interval = Interval.openClosed(lo, hi)
     def crawl(conn: WebDbConn, base: WebQuery, region: Box): Vector[WebTuple] =
       Crawler.crawlQuery(conn, region.toQuery(base))
   }
 
-  final case class Indexed(store: DenseRegionStore)
-      extends DensePolicy(width1D = 1e-3, widthMD = 1e-2, observedMin = true, indexed = Some(store)) {
+  case object Indexed extends DensePolicy(width1D = 1e-3, widthMD = 1e-2, observedMin = true) {
 
     /** Closed, so the indexed region covers the frontier `lo` and later
       * coverage lookups find it contiguous.
       */
     def sliver(lo: Double, hi: Double): Interval = Interval(lo, hi)
 
-    def crawl(conn: WebDbConn, base: WebQuery, region: Box): Vector[WebTuple] = {
-      val ts = Crawler.crawlQuery(conn, region.toQuery(WebQuery.all), Some(store))
-      store.add(region, ts)
-      ts.filter(base.matches)
-    }
+    def crawl(conn: WebDbConn, base: WebQuery, region: Box): Vector[WebTuple] =
+      Crawler.crawlQuery(conn, region.toQuery(WebQuery.all), indexed = true).filter(base.matches)
   }
 }

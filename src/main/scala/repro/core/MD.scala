@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.service.DenseRegionStore
 import repro.webdb._
 
 import scala.collection.mutable
@@ -90,8 +89,8 @@ abstract class MDAlgorithm(
 
   /** One round of the search. Up to [[WebDbConn.MaxPar]] boxes are drawn
     * from `boxes`, all at the `s*` the round began with; a box inside a
-    * complete region the policy reads ([[DensePolicy.content]]) resolves
-    * locally, and the rest go out as **one parallel batch**. The
+    * complete region of the connection's cache or store
+    * ([[WebDbConn.content]]) resolves locally, and the rest go out as **one parallel batch**. The
     * responses are considered in batch order: a box overflowing at the
     * policy's give-up width is crawled, any other overflowing box is handed
     * to `overflow` at once, so the caller sees `s*` as the local answers
@@ -107,7 +106,7 @@ abstract class MDAlgorithm(
     */
   protected final def round(boxes: Iterator[Box])(overflow: Box => Unit): Unit = {
     val drawn = boxes.take(WebDbConn.MaxPar).toVector
-    val known = drawn.map(box => policy.content(conn, box.toQuery(base)))
+    val known = drawn.map(box => conn.content(box.toQuery(base)))
     known.flatten.foreach(candidates.add)
     val batch = drawn.zip(known).collect { case (box, None) => box }
     if (batch.nonEmpty) {
@@ -230,18 +229,13 @@ object MDBranchAndBound {
 final class MDBinary(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: Normalizer)
     extends MDBranchAndBound(conn, base, f, norm, DensePolicy.Unindexed)
 
-/** MD-RERANK: branch-and-bound under [[DensePolicy.Indexed]] on `store` —
-  * the on-the-fly dense-region index: boxes contained in an indexed region
+/** MD-RERANK: branch-and-bound under [[DensePolicy.Indexed]] — the
+  * on-the-fly dense-region index: boxes contained in an indexed region
   * resolve locally at zero cost, and a dense box is crawled once *without*
   * the user filter and indexed for every future session and user.
   */
-final class MDRerank(
-    conn: WebDbConn,
-    base: WebQuery,
-    f: LinearRanking,
-    norm: Normalizer,
-    store: DenseRegionStore = new DenseRegionStore,
-) extends MDBranchAndBound(conn, base, f, norm, DensePolicy.Indexed(store))
+final class MDRerank(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: Normalizer)
+    extends MDBranchAndBound(conn, base, f, norm, DensePolicy.Indexed)
 
 /** MD-BASELINE — "broad queries that cover the search space": query the
   * bounding box of the region of interest `{f < s*}`; every response either

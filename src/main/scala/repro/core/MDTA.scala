@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.service.DenseRegionStore
 import repro.webdb.{WebDbConn, WebQuery, WebTuple}
 
 /** MD-TA — Fagin's Threshold Algorithm (Fagin/Lotem/Naor) implemented over
@@ -15,16 +14,10 @@ import repro.webdb.{WebDbConn, WebQuery, WebTuple}
   * attribute order, exhaustion of any one iterator proves the candidate
   * pool is complete.
   */
-final class MDTA(
-    conn: WebDbConn,
-    base: WebQuery,
-    f: LinearRanking,
-    norm: Normalizer,
-    val store: DenseRegionStore = new DenseRegionStore,
-) extends GetNexter {
+final class MDTA(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: Normalizer) extends GetNexter {
 
   private final class Access(val attr: String, val w: Double) {
-    val it = new OneDRerank(conn, base, attr, asc = w > 0, store)
+    val it = new OneDRerank(conn, base, attr, asc = w > 0)
     /** Contribution of a still-unseen tuple on this attribute can be no
       * better than the frontier term; before any access the bound is the
       * attribute's best possible contribution (0 for w>0, w for w<0 in

@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.service.DenseRegionStore
 import repro.webdb._
 
 import scala.annotation.tailrec
@@ -66,13 +65,13 @@ abstract class OneDAlgorithm(
 
   /** All matching tuples with `attr = v`. Overflowing value groups are
     * crawled — the QR2 fix for >k tuples sharing a value. A group inside a
-    * complete region the policy reads ([[DensePolicy.content]]) is read
-    * from it. A value group is a dense region too: under
-    * [[DensePolicy.Indexed]] it is indexed when crawled.
+    * complete region of the connection's cache or store
+    * ([[WebDbConn.content]]) is read from it. A value group is a dense
+    * region too: under [[DensePolicy.Indexed]] it is indexed when crawled.
     */
   private def materializeGroup(v: Double): Vector[WebTuple] = {
     val group = Box(Map(attr -> Interval.point(v)))
-    policy.content(conn, group.toQuery(base)).getOrElse {
+    conn.content(group.toQuery(base)).getOrElse {
       val res = conn.topK(group.toQuery(base))
       if (!res.overflow) res.tuples.toVector else policy.crawl(conn, base, group)
     }
@@ -213,9 +212,9 @@ final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boo
 
 /** 1D-BINARY and 1D-RERANK — one halving search of the key interval
   * `(lo, hi]`: probe the left half; empty → move right, no overflow →
-  * answer, overflow → recurse left. A complete region the policy reads
-  * ([[DensePolicy.coverageFrom]]) that covers the frontier answers first,
-  * or is skipped.
+  * answer, overflow → recurse left. A complete region of the connection's
+  * cache or store ([[WebDbConn.coverageFrom]]) that covers the frontier
+  * answers first, or is skipped.
   * The [[DensePolicy]] decides the rest:
   *
   *  - [[DensePolicy.Unindexed]] (BINARY) narrows an overflowing probe to
@@ -253,7 +252,7 @@ class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, p
   /** Answer from, or skip past, contiguous coverage: the furthest-reaching
     * complete region of the answer cache or the store beyond `lo`.
     */
-  private def fromCoverage(lo: Double): KeySearch = policy.coverageFrom(conn, base, attr, asc, lo) match {
+  private def fromCoverage(lo: Double): KeySearch = conn.coverageFrom(base, attr, asc, lo) match {
     case Some((covEnd, covIncl, ts)) =>
       ts.iterator.filter(base.matches).map(t => ks.key(t.num(attr))).filter(_ > lo).minOption match {
         case Some(c) => found(c)
@@ -356,11 +355,6 @@ class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, p
 final class OneDBinary(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean)
     extends OneDHalving(conn, base, attr, asc, DensePolicy.Unindexed)
 
-/** 1D-RERANK: the halving loop under [[DensePolicy.Indexed]] on `store`. */
-final class OneDRerank(
-    conn: WebDbConn,
-    base: WebQuery,
-    attr: String,
-    asc: Boolean,
-    store: DenseRegionStore = new DenseRegionStore,
-) extends OneDHalving(conn, base, attr, asc, DensePolicy.Indexed(store))
+/** 1D-RERANK: the halving loop under [[DensePolicy.Indexed]]. */
+final class OneDRerank(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean)
+    extends OneDHalving(conn, base, attr, asc, DensePolicy.Indexed)

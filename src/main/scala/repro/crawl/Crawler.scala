@@ -1,6 +1,5 @@
 package repro.crawl
 
-import repro.service.DenseRegionStore
 import repro.webdb._
 
 import scala.collection.mutable
@@ -36,34 +35,32 @@ import scala.collection.mutable
   * than system-k tuples sharing one attribute value — and (b) dense-region
   * indexing in the RERANK algorithms. Pending sub-queries are independent:
   * one frontier queue sends up to [[WebDbConn.MaxPar]] of them per parallel round,
-  * contributing to the parallel-iteration counts of Fig 2. Given the shared
-  * [[DenseRegionStore]], a sub-query lying inside an indexed region is
-  * answered from the store and not sent. A sub-query an indexed region
-  * *cuts* ([[DenseRegionStore.cut]]: the region holds it on every
-  * attribute but one, and more than k of its tuples) is split at the
-  * region's bounds on that attribute, the probe/remainder split of Dar et
-  * al. (VLDB'96): the part inside is read from the store and only the
-  * remainder pieces are crawled. So a crawl through an indexed spike pays
-  * for the tuples around it, not for the spike again.
+  * contributing to the parallel-iteration counts of Fig 2. In an indexed
+  * crawl, a sub-query lying inside a region of the store of the
+  * connection's cache is answered from the store and not sent. A
+  * sub-query a stored region *cuts* ([[CompleteRegions.cut]]: the region
+  * holds it on every attribute but one, and more than k of its tuples) is
+  * split at the region's bounds on that attribute, the probe/remainder
+  * split of Dar et al. (VLDB'96): the part inside is read from the store
+  * and only the remainder pieces are crawled. So a crawl through an
+  * indexed spike pays for the tuples around it, not for the spike again.
   */
 object Crawler {
 
   /** Retrieve every tuple matching `q`. Queries, and the tuples
     * retrieved, are tagged as crawl traffic in the connection's accountant,
-    * and `q` with its tuples becomes a complete region of the connection.
-    * Sub-queries contained in a region of `store` are answered from it at
-    * no cost, and those a region cuts are crawled only outside it; cache
-    * verification passes no store, because it must re-crawl.
+    * and `q` with its tuples is registered once ([[WebDbConn.crawled]]): in
+    * the store of the connection's cache when the crawl is `indexed`, among
+    * the cache's regions otherwise. Only an indexed crawl reads the store:
+    * sub-queries contained in a stored region are answered from it at no
+    * cost, and those a stored region cuts are crawled only outside it.
     *
     * @throws IllegalStateException if the region cannot be partitioned
     *         further yet still overflows (more than k identical tuples).
     */
-  def crawlQuery(
-      conn: WebDbConn,
-      q: WebQuery,
-      store: Option[DenseRegionStore] = None,
-  ): Vector[WebTuple] = {
+  def crawlQuery(conn: WebDbConn, q: WebQuery, indexed: Boolean = false): Vector[WebTuple] = {
     val schema   = conn.schema
+    val store    = Option.when(indexed)(conn.cache.store)
     val out      = mutable.LinkedHashMap.empty[Long, WebTuple]
     val frontier = mutable.Queue(q)
     while (frontier.nonEmpty) {
@@ -90,7 +87,7 @@ object Crawler {
       }
     }
     val all = out.values.toVector
-    conn.crawled(q, all)
+    conn.crawled(q, all, indexed)
     all
   }
 

@@ -41,16 +41,19 @@ object Algo {
 }
 
 /** The QR2 third-party reranking service (Fig 1 of the paper): wraps one
-  * web database, owns the shared dense-region store ("MySQL" cache), the
-  * answer cache every session reads and extends, and the min-max
-  * normalization bounds (discovered through the 1D algorithm, as the paper
-  * prescribes), and opens per-user sessions that answer get-next and
-  * get-page with any of the strategies.
+  * web database, owns the answer cache every session reads and extends,
+  * with the shared dense-region store ("MySQL" cache) as the cache's
+  * indexed tier, and the min-max normalization bounds (discovered through
+  * the 1D algorithm, as the paper prescribes), and opens per-user sessions
+  * that answer get-next and get-page with any of the strategies.
+  *
+  * Lock order: the service's lock, then the cache's, then the store's.
   */
 final class Qr2Service(
     val db: WebDb,
     val store: DenseRegionStore = new DenseRegionStore,
 ) {
+  store.canonicalize(db.schema) // a store built elsewhere, or loaded from disk
 
   /** Accountant for service-level bootstrap traffic (min/max discovery,
     * cache verification) — shared overhead, not billed to any session.
@@ -59,11 +62,12 @@ final class Qr2Service(
   val serviceAcc = new Accountant
 
   /** Every answer the service was billed for, and every complete region
-    * proven from them, by any session or by min/max discovery. Each
-    * session's connection reads and extends it, whatever its strategy; an
-    * answer read from it bills nothing.
+    * proven from them, by any session or by min/max discovery, over the
+    * store of the regions indexed crawls fetched. Each session's connection
+    * reads and extends it, whatever its strategy; an answer read from it
+    * bills nothing.
     */
-  val cache = new AnswerCache
+  val cache = new AnswerCache(store)
 
   private val minMaxCache = TrieMap.empty[String, (Double, Double)]
 
@@ -102,7 +106,7 @@ final class Qr2Service(
     */
   private def discoverMinMax(attrs: Seq[String]): Seq[(String, (Double, Double))] = {
     val conn   = new WebDbConn(db, serviceAcc, cache)
-    val chains = for (a <- attrs; asc <- Seq(true, false)) yield new OneDRerank(conn, WebQuery.all, a, asc, store)
+    val chains = for (a <- attrs; asc <- Seq(true, false)) yield new OneDRerank(conn, WebQuery.all, a, asc)
     val ends   = KeySearch.lockstep(conn, chains.map(_.firstValue)).zip(chains).map { case (v, c) =>
       v.getOrElse(throw new IllegalStateException(s"empty database: no extreme for ${c.attr}"))
     }
@@ -118,15 +122,15 @@ final class Qr2Service(
         algo match {
           case Algo.Baseline          => new OneDBaseline(conn, base, a, asc)
           case Algo.Binary            => new OneDBinary(conn, base, a, asc)
-          case Algo.Rerank | Algo.TA  => new OneDRerank(conn, base, a, asc, store)
+          case Algo.Rerank | Algo.TA  => new OneDRerank(conn, base, a, asc)
         }
       case md @ MDRank(ws) =>
         val norm = normalizer(md.attrs)
         algo match {
           case Algo.Baseline => new MDBaseline(conn, base, LinearRanking(ws), norm)
           case Algo.Binary   => new MDBinary(conn, base, LinearRanking(ws), norm)
-          case Algo.Rerank   => new MDRerank(conn, base, LinearRanking(ws), norm, store)
-          case Algo.TA       => new MDTA(conn, base, LinearRanking(ws), norm, store)
+          case Algo.Rerank   => new MDRerank(conn, base, LinearRanking(ws), norm)
+          case Algo.TA       => new MDTA(conn, base, LinearRanking(ws), norm)
         }
     }
     new Qr2Session(this, impl, acc, base, spec)
@@ -134,12 +138,12 @@ final class Qr2Service(
 
   /** Boot-time cache verification (§II-B "before the system boots up we
     * verify the cache and update the changes from the web database"):
-    * re-crawl every indexed region through a connection of its own, which
-    * reads none of the service's answers, rebuild the store content, and
-    * empty the answer cache, which may hold answers the database has since
-    * changed, and forget the min/max bounds found from those answers: the
-    * next use discovers them again. Returns the number of regions
-    * refreshed.
+    * re-crawl every indexed region through a connection of its own, whose
+    * private cache and empty store hold none of the service's answers,
+    * rebuild the store content, and empty the rest of the answer cache,
+    * which may hold answers the database has since changed, and forget the
+    * min/max bounds found from those answers: the next use discovers them
+    * again. Returns the number of regions refreshed.
     */
   def verifyCache(): Int = synchronized {
     val conn    = new WebDbConn(db, serviceAcc)

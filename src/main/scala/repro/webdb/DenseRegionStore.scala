@@ -1,7 +1,6 @@
-package repro.service
+package repro.webdb
 
 import org.apache.spark.sql.SparkSession
-import repro.webdb.{Box, CompleteRegions, Interval, WebQuery, WebTuple}
 
 /** Shared index of fully-crawled dense regions — QR2's "MySQL" cache
   * (§II-B, "Managing the dense region cache"), substituted here by an
@@ -10,15 +9,16 @@ import repro.webdb.{Box, CompleteRegions, Interval, WebQuery, WebTuple}
   * An entry records an axis-aligned region (a [[Box]] over a subset of the
   * numeric attributes) together with **every** tuple of the database inside
   * it — regions are crawled *unconditioned* on any user filter precisely so
-  * the index is reusable across sessions and users. The entries are the
-  * crawled tier of the service's complete regions ([[CompleteRegions]],
-  * region query `box.toQuery()`), and are read through the same lookups:
-  * `content` answers a query inside a region, `coverageFrom` reports how
-  * far a 1D search may answer from, or skip past, a region, and `cut`
-  * finds a region the crawler may read part of a sub-query from.
+  * the index is reusable across sessions and users. The store is the
+  * indexed tier of an [[AnswerCache]], which owns it and reads it after its
+  * own regions ([[CompleteRegions]], region query `box.toQuery()`): `content`
+  * answers a query inside a region, `coverageFrom` reports how far a 1D
+  * search may answer from, or skip past, a region, and `cut` finds a region
+  * an indexed crawl may read part of a sub-query from.
   *
-  * The store is shared between all sessions of a [[Qr2Service]]; methods
-  * are synchronized (QR2 is a multi-user service).
+  * Methods are synchronized (QR2 is a multi-user service). Lock order: the
+  * owning cache takes the store's lock while holding its own; the store
+  * never calls the cache.
   */
 final class DenseRegionStore {
   import DenseRegionStore.Entry
@@ -38,6 +38,14 @@ final class DenseRegionStore {
   def replaceAll(fresh: Seq[(Box, Seq[WebTuple])]): Unit = synchronized {
     regions.clear()
     fresh.foreach { case (b, ts) => add(b, ts) }
+  }
+
+  /** Rewrite every region in the form a connection over `schema` asks in
+    * ([[WebSchema.canonical]]): a region keeping a vacuous constraint holds
+    * no query that leaves the attribute out.
+    */
+  def canonicalize(schema: WebSchema): Unit = synchronized {
+    replaceAll(allEntries.map(e => (Box(schema.canonical(e.box.toQuery()).num), e.tuples)))
   }
 
   /** [[CompleteRegions.content]] over the stored regions. */

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.service.DenseRegionStore
 import repro.webdb._
 import repro.{Oracle, SparkSpec, TestFixtures}
 
@@ -49,12 +48,12 @@ class AlgoOracleSpec extends SparkSpec {
 
   check("1D-BASELINE", c => new OneDBaseline(c, WebQuery.all, "price", asc = true), f1d, 10)
   check("1D-BINARY", c => new OneDBinary(c, WebQuery.all, "price", asc = true), f1d, 10)
-  check("1D-RERANK", c => new OneDRerank(c, WebQuery.all, "price", asc = true, new DenseRegionStore), f1d, 10)
+  check("1D-RERANK", c => new OneDRerank(c, WebQuery.all, "price", asc = true), f1d, 10)
   check("1D-BINARY desc", c => new OneDBinary(c, WebQuery.all, "carat", asc = false), f1dD, 10)
   check("MD-BASELINE", c => new MDBaseline(c, WebQuery.all, f2d, norm1d(f2d)), f2d, 10)
   check("MD-BINARY", c => new MDBinary(c, WebQuery.all, f2d, norm1d(f2d)), f2d, 10)
-  check("MD-RERANK", c => new MDRerank(c, WebQuery.all, f2d, norm1d(f2d), new DenseRegionStore), f2d, 10)
-  check("MD-TA", c => new MDTA(c, WebQuery.all, f2d, norm1d(f2d), new DenseRegionStore), f2d, 10)
+  check("MD-RERANK", c => new MDRerank(c, WebQuery.all, f2d, norm1d(f2d)), f2d, 10)
+  check("MD-TA", c => new MDTA(c, WebQuery.all, f2d, norm1d(f2d)), f2d, 10)
 
   test("oracle catches a wrong result") {
     val wrong = diaDf.limit(5).select(col("id"))
@@ -66,7 +65,7 @@ class AlgoOracleSpec extends SparkSpec {
 
   test("filtered session equals DuckDB with the same WHERE clause") {
     val base = WebQuery.all.andCat("cut", Set("Ideal"))
-    val got  = new OneDRerank(new WebDbConn(db), base, "price", asc = true, new DenseRegionStore).next(8)
+    val got  = new OneDRerank(new WebDbConn(db), base, "price", asc = true).next(8)
     val df   = Reranker.tuplesToDataFrame(spark, db.schema, got).select(col("id"), col("price"))
     Oracle.assertEquivalent(
       df,

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.service.{DenseRegionStore, Qr2Service}
+import repro.service.Qr2Service
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
@@ -28,19 +28,22 @@ class CostPinSpec extends SparkSpec {
       assert(twoPages(conn, mk(conn)) == expected(name))
     }
 
-  /** Sessions in turn over one store, each on a connection of its own:
-    * the first crawls and indexes, the later ones read the store. Each run
-    * is named by its key in `expected`; one assertion reports every run.
+  /** Sessions in turn over one store, each on a connection of its own
+    * whose private cache is over that store: the first crawls and indexes,
+    * the later ones read the store. Each run is named by its key in
+    * `expected`; one assertion reports every run.
     */
-  private def pinOverOneStore(name: String)(runs: (String, (WebDbConn, DenseRegionStore) => GetNexter)*): Unit =
+  private def pinOverOneStore(name: String)(runs: (String, WebDbConn => GetNexter)*): Unit =
     test(s"$name over one store costs exactly its pinned counts") {
       val store = new DenseRegionStore
-      val got   = runs.map { case (_, mk) => val conn = new WebDbConn(db); twoPages(conn, mk(conn, store)) }
+      val got = runs.map { case (_, mk) =>
+        val conn = new WebDbConn(db, cache = new AnswerCache(store)); twoPages(conn, mk(conn))
+      }
       assert(got == runs.map { case (run, _) => expected(run) })
     }
 
   /** Two sessions of one kind over one store. */
-  private def pinTwice(name: String)(mk: (WebDbConn, DenseRegionStore) => GetNexter): Unit =
+  private def pinTwice(name: String)(mk: WebDbConn => GetNexter): Unit =
     pinOverOneStore(s"$name twice")(s"$name #1" -> mk, s"$name #2" -> mk)
 
   private def md(weights: (String, Double)*): (LinearRanking, Normalizer) = {
@@ -56,7 +59,7 @@ class CostPinSpec extends SparkSpec {
     val dir = if (asc) "asc" else "desc"
     pin(s"1D-BASELINE carat $dir $label")(c => new OneDBaseline(c, base, "carat", asc))
     pin(s"1D-BINARY carat $dir $label")(c => new OneDBinary(c, base, "carat", asc))
-    pin(s"1D-RERANK carat $dir $label")(c => new OneDRerank(c, base, "carat", asc, new DenseRegionStore))
+    pin(s"1D-RERANK carat $dir $label")(c => new OneDRerank(c, base, "carat", asc))
   }
 
   // 1D on houses price under a zip filter: price follows the hidden ranking,
@@ -64,7 +67,7 @@ class CostPinSpec extends SparkSpec {
   for (zip <- Seq("90000", "90001"); asc <- Seq(true, false)) {
     val base = WebQuery.all.andCat("zip", Set(zip))
     pin(s"1D-RERANK houses price ${if (asc) "asc" else "desc"} zip=$zip", houses) { c =>
-      new OneDRerank(c, base, "price", asc, new DenseRegionStore)
+      new OneDRerank(c, base, "price", asc)
     }
   }
 
@@ -78,8 +81,8 @@ class CostPinSpec extends SparkSpec {
     def fn = md(ws: _*)
     pin(s"MD-BASELINE [$fLabel] $label") { c => val (f, n) = fn; new MDBaseline(c, base, f, n) }
     pin(s"MD-BINARY [$fLabel] $label") { c => val (f, n) = fn; new MDBinary(c, base, f, n) }
-    pin(s"MD-RERANK [$fLabel] $label") { c => val (f, n) = fn; new MDRerank(c, base, f, n, new DenseRegionStore) }
-    pin(s"MD-TA [$fLabel] $label") { c => val (f, n) = fn; new MDTA(c, base, f, n, new DenseRegionStore) }
+    pin(s"MD-RERANK [$fLabel] $label") { c => val (f, n) = fn; new MDRerank(c, base, f, n) }
+    pin(s"MD-TA [$fLabel] $label") { c => val (f, n) = fn; new MDTA(c, base, f, n) }
   }
 
   // The lwr = 1.00 spike: 20 % of the table shares one lwr value, so every
@@ -87,11 +90,11 @@ class CostPinSpec extends SparkSpec {
   // narrows a box to the spike itself.
   pin("1D-BASELINE lwr asc")(c => new OneDBaseline(c, WebQuery.all, "lwr", asc = true))
   pin("1D-BINARY lwr asc")(c => new OneDBinary(c, WebQuery.all, "lwr", asc = true))
-  pinTwice("1D-RERANK lwr asc")((c, s) => new OneDRerank(c, WebQuery.all, "lwr", asc = true, s))
+  pinTwice("1D-RERANK lwr asc")(c => new OneDRerank(c, WebQuery.all, "lwr", asc = true))
   pin("MD-BASELINE [lwr]") { c => val (f, n) = md("lwr" -> 1.0); new MDBaseline(c, WebQuery.all, f, n) }
   pin("MD-BINARY [lwr]") { c => val (f, n) = md("lwr" -> 1.0); new MDBinary(c, WebQuery.all, f, n) }
   pin("MD-RERANK [lwr]") { c =>
-    val (f, n) = md("lwr" -> 1.0); new MDRerank(c, WebQuery.all, f, n, new DenseRegionStore)
+    val (f, n) = md("lwr" -> 1.0); new MDRerank(c, WebQuery.all, f, n)
   }
   pin("MD-BASELINE [price + lwr]") { c =>
     val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDBaseline(c, WebQuery.all, f, n)
@@ -99,18 +102,18 @@ class CostPinSpec extends SparkSpec {
   pin("MD-BINARY [price + lwr]") { c =>
     val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDBinary(c, WebQuery.all, f, n)
   }
-  pinTwice("MD-RERANK [price + lwr]") { (c, s) =>
-    val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDRerank(c, WebQuery.all, f, n, s)
+  pinTwice("MD-RERANK [price + lwr]") { c =>
+    val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDRerank(c, WebQuery.all, f, n)
   }
   pin("MD-RERANK [price + lwr] cut=Good") { c =>
-    val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDRerank(c, WebQuery.all.andCat("cut", Set("Good")), f, n, new DenseRegionStore)
+    val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDRerank(c, WebQuery.all.andCat("cut", Set("Good")), f, n)
   }
   // An MD crawl through the spike a 1D session indexed reads the spike from
   // the store and crawls only the tuples around it.
   pinOverOneStore("1D-RERANK lwr asc, then MD-RERANK [price + lwr] cut=Good,")(
-    "1D-RERANK lwr asc #1" -> ((c, s) => new OneDRerank(c, WebQuery.all, "lwr", asc = true, s)),
-    "MD-RERANK [price + lwr] cut=Good after 1D-RERANK lwr asc" -> { (c, s) =>
-      val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDRerank(c, WebQuery.all.andCat("cut", Set("Good")), f, n, s)
+    "1D-RERANK lwr asc #1" -> (c => new OneDRerank(c, WebQuery.all, "lwr", asc = true)),
+    "MD-RERANK [price + lwr] cut=Good after 1D-RERANK lwr asc" -> { c =>
+      val (f, n) = md("price" -> 1.0, "lwr" -> 1.0); new MDRerank(c, WebQuery.all.andCat("cut", Set("Good")), f, n)
     },
   )
 
@@ -118,7 +121,7 @@ class CostPinSpec extends SparkSpec {
   // round overflows with one lwr value's tie group alone, and one probe
   // below that value proves the next key.
   pin("1D-RERANK lwr desc shape=Round on 10 000 diamonds", TestFixtures.diamonds(spark, 0.05)) { c =>
-    new OneDRerank(c, WebQuery.all.andCat("shape", Set("Round")), "lwr", asc = false, new DenseRegionStore)
+    new OneDRerank(c, WebQuery.all.andCat("shape", Set("Round")), "lwr", asc = false)
   }
 
   // Min/max discovery (§II-B): the 1D-RERANK key search in each direction,

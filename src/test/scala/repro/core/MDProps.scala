@@ -4,7 +4,6 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalacheck.{Gen, Prop, Test}
-import repro.service.DenseRegionStore
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
@@ -74,6 +73,6 @@ class MDProps extends SparkSpec {
   }
 
   test("property: MD-RERANK emits the ground-truth top-h") {
-    check(emitsTruth((c, base, f, n) => new MDRerank(c, base, f, n, new DenseRegionStore)))
+    check(emitsTruth((c, base, f, n) => new MDRerank(c, base, f, n)))
   }
 }

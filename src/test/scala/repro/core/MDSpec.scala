@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.service.DenseRegionStore
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
@@ -23,8 +22,8 @@ class MDSpec extends SparkSpec {
     name match {
       case "BASELINE" => new MDBaseline(conn, base, f, norm)
       case "BINARY"   => new MDBinary(conn, base, f, norm)
-      case "RERANK"   => new MDRerank(conn, base, f, norm, new DenseRegionStore)
-      case "TA"       => new MDTA(conn, base, f, norm, new DenseRegionStore)
+      case "RERANK"   => new MDRerank(conn, base, f, norm)
+      case "TA"       => new MDTA(conn, base, f, norm)
     }
   }
 
@@ -117,7 +116,7 @@ class MDSpec extends SparkSpec {
     val f    = LinearRanking(Seq("price" -> 1.0, "carat" -> -0.1))
     val norm = TestFixtures.trueNorm(db, f.attrs)
     val conn = new WebDbConn(db)
-    new MDRerank(conn, WebQuery.all, f, norm, new DenseRegionStore).next(10)
+    new MDRerank(conn, WebQuery.all, f, norm).next(10)
     val s = conn.acc.snapshot
     assert(s.parallelFraction > 0.5, s"parallel fraction ${s.parallelFraction} of ${s.rounds} rounds")
   }
@@ -127,10 +126,10 @@ class MDSpec extends SparkSpec {
     val f     = LinearRanking(Seq("price" -> 1.0, "lwr" -> 1.0))
     val norm  = TestFixtures.trueNorm(db, f.attrs)
     val store = new DenseRegionStore
-    val c1    = new WebDbConn(db)
-    new MDRerank(c1, WebQuery.all, f, norm, store).next(5)
-    val c2 = new WebDbConn(db)
-    new MDRerank(c2, WebQuery.all, f, norm, store).next(5)
+    val c1    = new WebDbConn(db, cache = new AnswerCache(store))
+    new MDRerank(c1, WebQuery.all, f, norm).next(5)
+    val c2 = new WebDbConn(db, cache = new AnswerCache(store))
+    new MDRerank(c2, WebQuery.all, f, norm).next(5)
     assert(c2.acc.queries <= c1.acc.queries,
       s"first=${c1.acc.queries} second=${c2.acc.queries}")
   }

@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.service.DenseRegionStore
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
@@ -11,7 +10,7 @@ class MDTASpec extends SparkSpec {
 
   private def ta(db: LocalWebDb, base: WebQuery, ws: Seq[(String, Double)]): MDTA = {
     val f = LinearRanking(ws)
-    new MDTA(new WebDbConn(db), base, f, TestFixtures.trueNorm(db, f.attrs), new DenseRegionStore)
+    new MDTA(new WebDbConn(db), base, f, TestFixtures.trueNorm(db, f.attrs))
   }
 
   test("TA full drain on a narrow filter equals ground truth (pool completion path)") {
@@ -59,11 +58,11 @@ class MDTASpec extends SparkSpec {
     val store = new DenseRegionStore
     val f     = LinearRanking(Seq("lwr" -> 1.0, "price" -> 0.1))
     val norm  = TestFixtures.trueNorm(db, f.attrs)
-    val c1    = new WebDbConn(db)
-    new MDTA(c1, WebQuery.all, f, norm, store).next(5)
+    val c1    = new WebDbConn(db, cache = new AnswerCache(store))
+    new MDTA(c1, WebQuery.all, f, norm).next(5)
     assert(store.size > 0, "the lwr spike must have been indexed during sorted access")
-    val c2 = new WebDbConn(db)
-    new MDTA(c2, WebQuery.all, f, norm, store).next(5)
+    val c2 = new WebDbConn(db, cache = new AnswerCache(store))
+    new MDTA(c2, WebQuery.all, f, norm).next(5)
     assert(c2.acc.queries < c1.acc.queries,
       s"first=${c1.acc.queries} second=${c2.acc.queries}")
   }

@@ -3,7 +3,6 @@ package repro.core
 import repro.crawl.Crawler
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
-import repro.service.DenseRegionStore
 
 /** Correctness grid for the three 1D get-next strategies: every algorithm,
   * on both web databases, over several attributes, in both directions, with
@@ -16,7 +15,7 @@ class OneDSpec extends SparkSpec {
     name match {
       case "BASELINE" => new OneDBaseline(conn, base, attr, asc)
       case "BINARY"   => new OneDBinary(conn, base, attr, asc)
-      case "RERANK"   => new OneDRerank(conn, base, attr, asc, new DenseRegionStore)
+      case "RERANK"   => new OneDRerank(conn, base, attr, asc)
     }
   }
 
@@ -141,7 +140,7 @@ class OneDSpec extends SparkSpec {
       val cBin = new WebDbConn(db)
       val cRer = new WebDbConn(db)
       new OneDBinary(cBin, WebQuery.all, attr, asc).next(10)
-      new OneDRerank(cRer, WebQuery.all, attr, asc, new DenseRegionStore).next(10)
+      new OneDRerank(cRer, WebQuery.all, attr, asc).next(10)
       assert(cRer.acc.queries <= 2 * cBin.acc.queries + 20,
         s"$attr asc=$asc rerank=${cRer.acc.queries} binary=${cBin.acc.queries}")
     }
@@ -156,7 +155,7 @@ class OneDSpec extends SparkSpec {
     val db     = new RecordingWebDb(houses)
     val conn   = new WebDbConn(db)
     val base   = WebQuery.all.andCat("zip", Set(zip))
-    val got    = new OneDRerank(conn, base, "price", asc, new DenseRegionStore).next(h).map(_.id)
+    val got    = new OneDRerank(conn, base, "price", asc).next(h).map(_.id)
     val sizes  = conn.acc.snapshot.batchSizes
     val rounds = sizes.scanLeft(0)(_ + _).zip(sizes).map { case (from, n) => db.log.slice(from, from + n).map(_._2).toSeq }
     (got, TestFixtures.groundTruth1D(houses, base, "price", asc).take(h).map(_.id), rounds)
@@ -184,11 +183,11 @@ class OneDSpec extends SparkSpec {
   test("RERANK second pass over an indexed dense region costs almost nothing") {
     val db    = TestFixtures.diamonds(spark)
     val store = new DenseRegionStore
-    val c1    = new WebDbConn(db)
-    new OneDRerank(c1, WebQuery.all, "lwr", asc = true, store).next(10)
+    val c1    = new WebDbConn(db, cache = new AnswerCache(store))
+    new OneDRerank(c1, WebQuery.all, "lwr", asc = true).next(10)
     assert(store.size > 0, "dense spike should have been indexed")
-    val c2 = new WebDbConn(db)
-    new OneDRerank(c2, WebQuery.all.andCat("cut", Set("Ideal")), "lwr", asc = true, store).next(10)
+    val c2 = new WebDbConn(db, cache = new AnswerCache(store))
+    new OneDRerank(c2, WebQuery.all.andCat("cut", Set("Ideal")), "lwr", asc = true).next(10)
     assert(c2.acc.queries < c1.acc.queries / 5,
       s"first=${c1.acc.queries} second=${c2.acc.queries}")
   }
@@ -198,7 +197,7 @@ class OneDSpec extends SparkSpec {
     val store = new DenseRegionStore
     // [0, 1.00) holds no tuple, and its open end is the lwr = 1.00 spike.
     store.add(Box(Map("lwr" -> Interval(0.0, 1.0, hiIncl = false))), Seq.empty)
-    val got   = new OneDRerank(new WebDbConn(db), WebQuery.all, "lwr", asc = true, store).next(30)
+    val got   = new OneDRerank(new WebDbConn(db, cache = new AnswerCache(store)), WebQuery.all, "lwr", asc = true).next(30)
     val truth = TestFixtures.groundTruth1D(db, WebQuery.all, "lwr", asc = true).take(30)
     assert(truth.head.num("lwr") == 1.0, "premise: the spike is the smallest lwr value")
     assert(got.map(_.id) == truth.map(_.id))
@@ -211,8 +210,8 @@ class OneDSpec extends SparkSpec {
     val store = new DenseRegionStore
     store.add(box, Crawler.crawlQuery(new WebDbConn(db), box.toQuery()))
     val base  = WebQuery.all.and("carat", Interval(0.55, 0.65))
-    val conn  = new WebDbConn(db)
-    val got   = new OneDRerank(conn, base, "price", asc = true, store).next(10)
+    val conn  = new WebDbConn(db, cache = new AnswerCache(store))
+    val got   = new OneDRerank(conn, base, "price", asc = true).next(10)
     assert(got.map(_.id) == TestFixtures.groundTruth1D(db, base, "price", asc = true).take(10).map(_.id))
     assert(conn.acc.queries == 0, "the indexed region holds every tuple of the filter")
   }

@@ -3,7 +3,6 @@ package repro.crawl
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalacheck.{Gen, Prop, Test}
-import repro.service.DenseRegionStore
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
@@ -140,8 +139,13 @@ class CrawlerSpec extends SparkSpec {
     genBox.map(_.toQuery(WebQuery.all.and("lwr", Interval.point(1.0)))),
   )
 
+  /** A connection whose cache is over `store`, or over a fresh one. */
+  private def connOver(on: WebDb, store: Option[DenseRegionStore]): WebDbConn =
+    new WebDbConn(on, cache = new AnswerCache(store.getOrElse(new DenseRegionStore)))
+
+  /** Crawl `q`, an indexed crawl reading `store` if one is given. */
   private def crawlsExactly(q: WebQuery, store: Option[DenseRegionStore]): Prop = {
-    val got = Crawler.crawlQuery(new WebDbConn(db), q, store).map(_.id)
+    val got = Crawler.crawlQuery(connOver(db, store), q, indexed = store.isDefined).map(_.id)
     Prop(got.toSet == brute(db, q) && got.distinct.size == got.size) :| s"query $q"
   }
 
@@ -161,9 +165,9 @@ class CrawlerSpec extends SparkSpec {
     val spike = Box(Map("lwr" -> Interval.point(1.0)))
     val store = new DenseRegionStore
     store.add(spike, db.allTuples.filter(spike.toQuery().matches))
-    val conn = new WebDbConn(db)
+    val conn = connOver(db, Some(store))
     val q    = spike.toQuery(WebQuery.all.andCat("cut", Set("Ideal")))
-    assert(Crawler.crawlQuery(conn, q, Some(store)).map(_.id).toSet == brute(db, q))
+    assert(Crawler.crawlQuery(conn, q, indexed = true).map(_.id).toSet == brute(db, q))
     assert(conn.acc.queries == 0)
   }
 
@@ -183,10 +187,12 @@ class CrawlerSpec extends SparkSpec {
     store
   }
 
-  /** The requests a crawl of `q` sends, and the tuples it returns. */
+  /** The requests a crawl of `q` sends, and the tuples it returns; an
+    * indexed crawl reading `store` if one is given.
+    */
   private def crawlLog(q: WebQuery, store: Option[DenseRegionStore]): (Seq[WebQuery], Vector[WebTuple]) = {
     val rec = new RecordingWebDb(db)
-    val ts  = Crawler.crawlQuery(new WebDbConn(rec), q, store)
+    val ts  = Crawler.crawlQuery(connOver(rec, store), q, indexed = store.isDefined)
     (rec.requests, ts)
   }
 

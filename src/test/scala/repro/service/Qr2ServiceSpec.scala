@@ -246,6 +246,29 @@ class Qr2ServiceSpec extends SparkSpec {
     assert(alone.stats.queries > 0)
   }
 
+  // An MD-RERANK session on lwr indexes a box at the lwr = 1.00 spike. A
+  // 1D-BINARY session cannot use it: its sliver crawl starts below the
+  // advertised domain, so no region starting at the spike contains it.
+  test("after persist, load and verifyCache, BINARY and BASELINE sessions read the store: they crawl less than on an empty store") {
+    val db  = TestFixtures.diamonds(spark)
+    val dir = java.nio.file.Files.createTempDirectory("qr2-boot-store").toString
+    val indexing = new Qr2Service(db)
+    indexing.newSession(WebQuery.all, MDRank(Seq("lwr" -> 1.0)), Algo.Rerank).getPage(10)
+    assert(indexing.store.size > 0, "premise: RERANK indexed the lwr spike")
+    indexing.store.persist(spark, dir)
+    val booted = new Qr2Service(db, DenseRegionStore.load(spark, dir))
+    booted.verifyCache()
+    for ((spec, algo) <- Seq(MDRank(Seq("lwr" -> 1.0)) -> Algo.Binary, OneDRank("lwr", asc = true) -> Algo.Baseline)) {
+      val warm  = booted.newSession(WebQuery.all, spec, algo)
+      val cold  = new Qr2Service(db).newSession(WebQuery.all, spec, algo)
+      val truth = truthIds(db, WebQuery.all, spec, 10)
+      assert(warm.getPage(10).map(_.id) == truth, s"$algo $spec")
+      assert(cold.getPage(10).map(_.id) == truth, s"$algo $spec")
+      assert(warm.stats.crawlQueries < cold.stats.crawlQueries,
+        s"$algo $spec: after verifyCache ${warm.stats.crawlQueries} crawl queries, on an empty store ${cold.stats.crawlQueries}")
+    }
+  }
+
   test("verifyCache forgets the min/max bounds: later sessions normalize by the changed database") {
     val db       = TestFixtures.diamonds(spark)
     val changing = new ChangingWebDb(db)

@@ -6,7 +6,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.{Gen, Prop, Test}
 import repro.core.DensePolicy
 import repro.crawl.Crawler
-import repro.service.{Algo, DenseRegionStore, OneDRank, Qr2Service}
+import repro.service.{Algo, OneDRank, Qr2Service}
 import repro.{SparkSpec, TestFixtures}
 
 import scala.util.Random
@@ -435,13 +435,33 @@ class WebDbSpec extends SparkSpec {
     } yield (region, inside, partial)
     check(Prop.forAll(genCase) { case (region, inside, partial) =>
       val store = new DenseRegionStore
-      store.add(Box(region.num), Crawler.crawlQuery(new WebDbConn(diamonds), region))
-      val conn   = new WebDbConn(diamonds)
-      val policy = DensePolicy.Indexed(store)
-      val got    = policy.content(conn, inside).map(_.map(_.id).sorted)
+      Crawler.crawlQuery(new WebDbConn(diamonds, cache = new AnswerCache(store)), region, indexed = true)
+      val conn = new WebDbConn(diamonds, cache = new AnswerCache(store))
+      val got  = conn.content(inside).map(_.map(_.id).sorted)
       (Prop(got == Some(diamonds.allTuples.filter(inside.matches).map(_.id).sorted)) :| "inside: every match" &&
-        Prop(policy.content(conn, partial).isEmpty) :| "partly outside: no answer" &&
+        Prop(conn.content(partial).isEmpty) :| "partly outside: no answer" &&
         Prop(conn.acc.queries == 0) :| "billed nothing") :| s"region $region, inside $inside, partly outside $partial"
     })
+  }
+
+  test("a stored region with a dimension spanning the whole domain holds a query leaving that dimension out") {
+    val dom    = diamonds.schema.numDomains("price")
+    val box    = Box(Map("price" -> Interval(dom.lo - 10, dom.hi), "carat" -> Interval(0.5, 0.7)))
+    val q      = WebQuery.all.and("price", dom).and("carat", Interval(0.55, 0.56))
+    val truth  = Some(diamonds.allTuples.filter(q.matches).map(_.id).sorted)
+    def ids(cache: AnswerCache) = new WebDbConn(diamonds, cache = cache).content(q).map(_.map(_.id).sorted)
+    assert(truth.exists(_.nonEmpty), "premise: the query matches some tuple")
+    // By an indexed crawl.
+    val crawled = new DenseRegionStore
+    DensePolicy.Indexed.crawl(new WebDbConn(diamonds, cache = new AnswerCache(crawled)), WebQuery.all, box)
+    assert(crawled.size == 1)
+    assert(ids(new AnswerCache(crawled)) == truth, "crawled")
+    // Added as it stands, then adopted by a service, then verified.
+    val added = new DenseRegionStore
+    added.add(box, diamonds.allTuples.filter(box.toQuery().matches))
+    val service = new Qr2Service(diamonds, added)
+    assert(ids(service.cache) == truth, "adopted")
+    service.verifyCache()
+    assert(ids(service.cache) == truth, "verified")
   }
 }
