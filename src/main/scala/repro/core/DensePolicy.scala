@@ -14,12 +14,12 @@ import repro.webdb._
   *    [[AnswerCache]] like any complete region.
   *  - [[DensePolicy.Indexed]] (RERANK, and TA's sorted-access iterators)
   *    gives up early, crawls the region *without* the user filter so the
-  *    result serves every later filter, and indexes it in the store of the
-  *    connection's cache.
+  *    result serves every later filter, and indexes it among the indexed
+  *    regions of the connection's cache.
   *
   * The policy does not decide which complete regions a search reads: every
   * strategy reads the connection's cache ([[WebDbConn.content]],
-  * [[WebDbConn.coverageFrom]]), whose store is its indexed tier.
+  * [[WebDbConn.coverageFrom]]), indexed regions included.
   *
   * @param width1D give-up width of the 1D halving loop, as a fraction of the
   *                attribute's domain

@@ -89,7 +89,7 @@ abstract class MDAlgorithm(
 
   /** One round of the search. Up to [[WebDbConn.MaxPar]] boxes are drawn
     * from `boxes`, all at the `s*` the round began with; a box inside a
-    * complete region of the connection's cache or store
+    * complete or indexed region of the connection's cache
     * ([[WebDbConn.content]]) resolves locally, and the rest go out as **one parallel batch**. The
     * responses are considered in batch order: a box overflowing at the
     * policy's give-up width is crawled, any other overflowing box is handed

@@ -65,7 +65,7 @@ abstract class OneDAlgorithm(
 
   /** All matching tuples with `attr = v`. Overflowing value groups are
     * crawled — the QR2 fix for >k tuples sharing a value. A group inside a
-    * complete region of the connection's cache or store
+    * complete or indexed region of the connection's cache
     * ([[WebDbConn.content]]) is read from it. A value group is a dense
     * region too: under [[DensePolicy.Indexed]] it is indexed when crawled.
     */
@@ -212,8 +212,8 @@ final class OneDBaseline(conn: WebDbConn, base: WebQuery, attr: String, asc: Boo
 
 /** 1D-BINARY and 1D-RERANK — one halving search of the key interval
   * `(lo, hi]`: probe the left half; empty → move right, no overflow →
-  * answer, overflow → recurse left. A complete region of the connection's
-  * cache or store ([[WebDbConn.coverageFrom]]) that covers the frontier
+  * answer, overflow → recurse left. A complete or indexed region of the
+  * connection's cache ([[WebDbConn.coverageFrom]]) that covers the frontier
   * answers first, or is skipped.
   * The [[DensePolicy]] decides the rest:
   *
@@ -250,7 +250,7 @@ class OneDHalving(conn: WebDbConn, base: WebQuery, attr: String, asc: Boolean, p
   protected def search(frontierKey: Option[Double]): KeySearch = fromCoverage(startKey(frontierKey))
 
   /** Answer from, or skip past, contiguous coverage: the furthest-reaching
-    * complete region of the answer cache or the store beyond `lo`.
+    * complete or indexed region of the answer cache beyond `lo`.
     */
   private def fromCoverage(lo: Double): KeySearch = conn.coverageFrom(base, attr, asc, lo) match {
     case Some((covEnd, covIncl, ts)) =>

@@ -36,41 +36,44 @@ import scala.collection.mutable
   * indexing in the RERANK algorithms. Pending sub-queries are independent:
   * one frontier queue sends up to [[WebDbConn.MaxPar]] of them per parallel round,
   * contributing to the parallel-iteration counts of Fig 2. In an indexed
-  * crawl, a sub-query lying inside a region of the store of the
-  * connection's cache is answered from the store and not sent. A
-  * sub-query a stored region *cuts* ([[CompleteRegions.cut]]: the region
-  * holds it on every attribute but one, and more than k of its tuples) is
-  * split at the region's bounds on that attribute, the probe/remainder
-  * split of Dar et al. (VLDB'96): the part inside is read from the store
-  * and only the remainder pieces are crawled. So a crawl through an
-  * indexed spike pays for the tuples around it, not for the spike again.
+  * crawl, a sub-query lying inside an indexed region of the connection's
+  * cache is answered from that region and not sent. A sub-query an
+  * indexed region *cuts* ([[CompleteRegions.cut]]: the region holds it on
+  * every attribute but one, and more than k of its tuples) is split at the
+  * region's bounds on that attribute, the probe/remainder split of Dar et
+  * al. (VLDB'96): the part inside is read from the region and only the
+  * remainder pieces are crawled. So a crawl through an indexed spike pays
+  * for the tuples around it, not for the spike again.
   */
 object Crawler {
 
   /** Retrieve every tuple matching `q`. Queries, and the tuples
     * retrieved, are tagged as crawl traffic in the connection's accountant,
-    * and `q` with its tuples is registered once ([[WebDbConn.crawled]]): in
-    * the store of the connection's cache when the crawl is `indexed`, among
-    * the cache's regions otherwise. Only an indexed crawl reads the store:
-    * sub-queries contained in a stored region are answered from it at no
-    * cost, and those a stored region cuts are crawled only outside it.
+    * and `q` with its tuples is registered once ([[WebDbConn.crawled]]):
+    * among the indexed regions of the connection's cache when the crawl is
+    * `indexed`, among its regions otherwise. Only an indexed crawl reads
+    * the indexed regions ([[AnswerCache.stored]], [[AnswerCache.cut]]):
+    * sub-queries contained in one are answered from it at no cost, and
+    * those one cuts are crawled only outside it.
     *
     * @throws IllegalStateException if the region cannot be partitioned
     *         further yet still overflows (more than k identical tuples).
+    * @throws IllegalArgumentException if an indexed crawl's `q` constrains
+    *         a categorical attribute: an indexed region is a box.
     */
   def crawlQuery(conn: WebDbConn, q: WebQuery, indexed: Boolean = false): Vector[WebTuple] = {
     val schema   = conn.schema
-    val store    = Option.when(indexed)(conn.cache.store)
+    val cache    = Option.when(indexed)(conn.cache)
     val out      = mutable.LinkedHashMap.empty[Long, WebTuple]
     val frontier = mutable.Queue(q)
     while (frontier.nonEmpty) {
       val round = mutable.Buffer.empty[WebQuery]
       while (frontier.nonEmpty && round.size < WebDbConn.MaxPar) {
         val sub = frontier.dequeue()
-        store.flatMap(_.content(sub)) match {
+        cache.flatMap(_.stored(sub)) match {
           case Some(ts) => ts.foreach(t => out.update(t.id, t))
           case None =>
-            store.flatMap(_.cut(sub, conn.k)) match {
+            cache.flatMap(_.cut(sub, conn.k)) match {
               case Some((a, iv, ts)) =>
                 ts.foreach(t => out.update(t.id, t))
                 frontier.prependAll(schema.outside(sub, a, iv))

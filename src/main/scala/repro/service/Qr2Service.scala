@@ -42,18 +42,14 @@ object Algo {
 
 /** The QR2 third-party reranking service (Fig 1 of the paper): wraps one
   * web database, owns the answer cache every session reads and extends,
-  * with the shared dense-region store ("MySQL" cache) as the cache's
-  * indexed tier, and the min-max normalization bounds (discovered through
-  * the 1D algorithm, as the paper prescribes), and opens per-user sessions
+  * whose indexed regions are the dense-region ("MySQL") cache, seeded from
+  * `seed`, and the min-max normalization bounds (discovered through the
+  * 1D algorithm, as the paper prescribes), and opens per-user sessions
   * that answer get-next and get-page with any of the strategies.
   *
-  * Lock order: the service's lock, then the cache's, then the store's.
+  * Lock order: the service's lock, then the cache's.
   */
-final class Qr2Service(
-    val db: WebDb,
-    val store: DenseRegionStore = new DenseRegionStore,
-) {
-  store.canonicalize(db.schema) // a store built elsewhere, or loaded from disk
+final class Qr2Service(val db: WebDb, seed: DenseRegionStore = DenseRegionStore.empty) {
 
   /** Accountant for service-level bootstrap traffic (min/max discovery,
     * cache verification) — shared overhead, not billed to any session.
@@ -61,13 +57,19 @@ final class Qr2Service(
     */
   val serviceAcc = new Accountant
 
-  /** Every answer the service was billed for, and every complete region
-    * proven from them, by any session or by min/max discovery, over the
-    * store of the regions indexed crawls fetched. Each session's connection
-    * reads and extends it, whatever its strategy; an answer read from it
-    * bills nothing.
+  /** Every answer the service was billed for, every complete region
+    * proven from them, by any session or by min/max discovery, and every
+    * region indexed crawls fetched, starting from those of `seed` in
+    * canonical form (a store built elsewhere, or loaded from disk). Each
+    * session's connection reads and extends it, whatever its strategy; an
+    * answer read from it bills nothing.
     */
-  val cache = new AnswerCache(store)
+  val cache = new AnswerCache(seed.canonical(db.schema))
+
+  /** The dense-region cache as it stands: a snapshot of the cache's
+    * indexed regions, to persist or to inspect.
+    */
+  def store: DenseRegionStore = cache.store
 
   private val minMaxCache = TrieMap.empty[String, (Double, Double)]
 
@@ -139,19 +141,17 @@ final class Qr2Service(
   /** Boot-time cache verification (§II-B "before the system boots up we
     * verify the cache and update the changes from the web database"):
     * re-crawl every indexed region through a connection of its own, whose
-    * private cache and empty store hold none of the service's answers,
-    * rebuild the store content, and empty the rest of the answer cache,
-    * which may hold answers the database has since changed, and forget the
-    * min/max bounds found from those answers: the next use discovers them
-    * again. Returns the number of regions refreshed.
+    * private cache holds none of the service's answers, make the fresh
+    * regions the cache's indexed regions while emptying the rest of it,
+    * which may hold answers the database has since changed
+    * ([[AnswerCache.reset]]), and forget the min/max bounds found from
+    * those answers: the next use discovers them again. Returns the number
+    * of regions refreshed.
     */
   def verifyCache(): Int = synchronized {
     val conn    = new WebDbConn(db, serviceAcc)
     val entries = store.allEntries
-    val fresh   = entries.map(e =>
-      (e.box, Crawler.crawlQuery(conn, e.box.toQuery(WebQuery.all)): Seq[WebTuple]))
-    store.replaceAll(fresh)
-    cache.clear()
+    cache.reset(DenseRegionStore(entries.map(e => e.copy(tuples = Crawler.crawlQuery(conn, e.box.toQuery())))))
     minMaxCache.clear()
     entries.size
   }

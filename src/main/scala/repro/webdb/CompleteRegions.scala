@@ -3,12 +3,12 @@ package repro.webdb
 import scala.collection.mutable
 
 /** Complete regions: queries, each held with every tuple of the database
-  * matching it — the semantic region cache of Dar et al. (VLDB'96). QR2
-  * keeps them at two scopes: the service's [[AnswerCache]] (billed
-  * responses that did not overflow, and finished crawls, of every session)
-  * and the shared dense-region store. A query inside a region is answered
-  * from it without asking the web database; any containing region holds the
-  * same matches.
+  * matching it — the semantic region cache of Dar et al. (VLDB'96). The
+  * service's [[AnswerCache]] keeps two sets: the regions proven from billed
+  * responses that did not overflow and from finished crawls, and the
+  * indexed regions of its dense-region cache. A query inside a region is
+  * answered from it without asking the web database; any containing region
+  * holds the same matches.
   *
   * Regions are bucketed by shape: the set of numeric attributes they
   * constrain and their categorical sets. A region can contain a query only
@@ -30,9 +30,6 @@ final class CompleteRegions {
 
   /** Number of regions held. */
   def size: Int = count
-
-  /** Number of tuples held, summed over the regions. */
-  def tupleCount: Long = buckets.valuesIterator.flatMap(_.iterator).map(_.tuples.size.toLong).sum
 
   /** Every region with its tuples, oldest first. */
   def all: Vector[(WebQuery, Vector[WebTuple])] =

@@ -101,14 +101,13 @@ object DbStats {
   * The connection answers from its [[AnswerCache]] what the cache proves:
   * an exact memo answers repeated queries, and the [[CompleteRegions]] of
   * the billed responses that did not overflow and of the finished crawls,
-  * and the regions of its [[DenseRegionStore]], answer the queries inside
-  * them: when at most k region tuples match,
-  * they are the answer, with `overflow = false`, exactly as the web
-  * database would return it. Otherwise the query is sent: a crawled region
-  * lacks the hidden rank order. Before either, the schema answers: a query
-  * that is unsatisfiable, or whose interval on some attribute misses that
-  * attribute's advertised domain, matches no tuple (the [[WebSchema]]
-  * contract), so its answer is the empty page. Local answers are not
+  * and its indexed regions, answer the queries inside them: when at most k
+  * region tuples match, they are the answer, with `overflow = false`,
+  * exactly as the web database would return it. Otherwise the query is
+  * sent: a crawled region lacks the hidden rank order. Before either, the
+  * schema answers: a query that is unsatisfiable, or whose interval on some
+  * attribute misses that attribute's advertised domain, matches no tuple
+  * (the [[WebSchema]] contract), so its answer is the empty page. Local answers are not
   * billed; the accountant `acc` bills only the queries this connection
   * sends. Neither the cache nor the web database sees a vacuous
   * constraint ([[WebSchema.canonical]]): the full probe `(lo − 1, hi]` of
@@ -119,7 +118,7 @@ object DbStats {
   * cache, so a session reuses the answers every earlier session of the
   * service was billed for (QR2's shared cache, §II-B, extended from dense
   * regions to every proven answer). A connection built on its own keeps a
-  * private cache over a fresh store: it reuses only its own answers.
+  * private, empty cache: it reuses only its own answers.
   */
 final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant, val cache: AnswerCache = new AnswerCache) {
   def schema: WebSchema = db.schema
@@ -171,17 +170,17 @@ final class WebDbConn(val db: WebDb, val acc: Accountant = new Accountant, val c
       q.num.exists { case (a, iv) => schema.numDomains.get(a).exists(iv.intersect(_).isEmpty) }
 
   /** Every tuple matching `q`, if `q` was answered without overflow or
-    * lies inside a complete region of the cache or its store.
+    * lies inside a complete or indexed region of the cache.
     */
   def content(q: WebQuery): Option[Vector[WebTuple]] = cache.content(schema.canonical(q))
 
-  /** 1D: [[CompleteRegions.coverageFrom]] over the cache's regions and store. */
+  /** 1D: [[AnswerCache.coverageFrom]]. */
   def coverageFrom(base: WebQuery, attr: String, asc: Boolean, lo: Double): Option[CompleteRegions.Coverage] =
     cache.coverageFrom(base, attr, asc, lo, schema.numDomains(attr))
 
-  /** Register a finished crawl, once: `q` with every tuple matching it, in
-    * the cache's store when the crawl is `indexed`, among its regions
-    * otherwise ([[AnswerCache.crawled]]).
+  /** Register a finished crawl, once: `q` with every tuple matching it,
+    * among the cache's indexed regions when the crawl is `indexed`, among
+    * its regions otherwise ([[AnswerCache.crawled]]).
     */
   def crawled(q: WebQuery, tuples: Vector[WebTuple], indexed: Boolean): Unit = {
     cache.crawled(schema.canonical(q), tuples, indexed)

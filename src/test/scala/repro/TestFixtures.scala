@@ -20,6 +20,19 @@ object TestFixtures {
   def houses(spark: SparkSession, sf: Double = 0.005, k: Int = 10): LocalWebDb =
     localCache.getOrElseUpdate(("houses", sf, k), WebData.housesLocal(spark, sf, k))
 
+  /** Connections in turn over one store, as sessions of services each
+    * booted from the store the previous one left: each connection's
+    * private cache is seeded with the indexed regions of the previous
+    * connection's cache ([[AnswerCache.store]], read when the next
+    * connection opens), the first with `store`.
+    */
+  def inTurnOverOneStore(db: WebDb, store: DenseRegionStore = DenseRegionStore.empty): Iterator[WebDbConn] =
+    Iterator.iterate(new AnswerCache(store))(prev => new AnswerCache(prev.store)).map(c => new WebDbConn(db, cache = c))
+
+  /** A store holding each region with the given tuples, in order. */
+  def storeOf(regions: (Box, Seq[WebTuple])*): DenseRegionStore =
+    DenseRegionStore(regions.map { case (b, ts) => DenseRegionStore.Entry(b, ts.toVector) }.toVector)
+
   /** Exhaustive ground truth: all matching tuples in (score, id) order —
     * what an omniscient service would return page by page.
     */

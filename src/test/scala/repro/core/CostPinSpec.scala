@@ -29,15 +29,15 @@ class CostPinSpec extends SparkSpec {
     }
 
   /** Sessions in turn over one store, each on a connection of its own
-    * whose private cache is over that store: the first crawls and indexes,
-    * the later ones read the store. Each run is named by its key in
-    * `expected`; one assertion reports every run.
+    * ([[TestFixtures.inTurnOverOneStore]]): the first crawls and indexes,
+    * the later ones read what the earlier ones indexed. Each run is named
+    * by its key in `expected`; one assertion reports every run.
     */
   private def pinOverOneStore(name: String)(runs: (String, WebDbConn => GetNexter)*): Unit =
     test(s"$name over one store costs exactly its pinned counts") {
-      val store = new DenseRegionStore
+      val conns = TestFixtures.inTurnOverOneStore(db)
       val got = runs.map { case (_, mk) =>
-        val conn = new WebDbConn(db, cache = new AnswerCache(store)); twoPages(conn, mk(conn))
+        val conn = conns.next(); twoPages(conn, mk(conn))
       }
       assert(got == runs.map { case (run, _) => expected(run) })
     }

@@ -125,10 +125,10 @@ class MDSpec extends SparkSpec {
     val db    = TestFixtures.diamonds(spark)
     val f     = LinearRanking(Seq("price" -> 1.0, "lwr" -> 1.0))
     val norm  = TestFixtures.trueNorm(db, f.attrs)
-    val store = new DenseRegionStore
-    val c1    = new WebDbConn(db, cache = new AnswerCache(store))
+    val conns = TestFixtures.inTurnOverOneStore(db)
+    val c1    = conns.next()
     new MDRerank(c1, WebQuery.all, f, norm).next(5)
-    val c2 = new WebDbConn(db, cache = new AnswerCache(store))
+    val c2 = conns.next()
     new MDRerank(c2, WebQuery.all, f, norm).next(5)
     assert(c2.acc.queries <= c1.acc.queries,
       s"first=${c1.acc.queries} second=${c2.acc.queries}")

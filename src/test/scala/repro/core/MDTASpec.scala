@@ -55,13 +55,13 @@ class MDTASpec extends SparkSpec {
 
   test("TA sorted accesses benefit from the shared dense-region store") {
     val db    = TestFixtures.diamonds(spark)
-    val store = new DenseRegionStore
+    val conns = TestFixtures.inTurnOverOneStore(db)
     val f     = LinearRanking(Seq("lwr" -> 1.0, "price" -> 0.1))
     val norm  = TestFixtures.trueNorm(db, f.attrs)
-    val c1    = new WebDbConn(db, cache = new AnswerCache(store))
+    val c1    = conns.next()
     new MDTA(c1, WebQuery.all, f, norm).next(5)
-    assert(store.size > 0, "the lwr spike must have been indexed during sorted access")
-    val c2 = new WebDbConn(db, cache = new AnswerCache(store))
+    assert(c1.cache.store.size > 0, "the lwr spike must have been indexed during sorted access")
+    val c2 = conns.next()
     new MDTA(c2, WebQuery.all, f, norm).next(5)
     assert(c2.acc.queries < c1.acc.queries,
       s"first=${c1.acc.queries} second=${c2.acc.queries}")

@@ -182,11 +182,11 @@ class OneDSpec extends SparkSpec {
 
   test("RERANK second pass over an indexed dense region costs almost nothing") {
     val db    = TestFixtures.diamonds(spark)
-    val store = new DenseRegionStore
-    val c1    = new WebDbConn(db, cache = new AnswerCache(store))
+    val conns = TestFixtures.inTurnOverOneStore(db)
+    val c1    = conns.next()
     new OneDRerank(c1, WebQuery.all, "lwr", asc = true).next(10)
-    assert(store.size > 0, "dense spike should have been indexed")
-    val c2 = new WebDbConn(db, cache = new AnswerCache(store))
+    assert(c1.cache.store.size > 0, "dense spike should have been indexed")
+    val c2 = conns.next()
     new OneDRerank(c2, WebQuery.all.andCat("cut", Set("Ideal")), "lwr", asc = true).next(10)
     assert(c2.acc.queries < c1.acc.queries / 5,
       s"first=${c1.acc.queries} second=${c2.acc.queries}")
@@ -194,10 +194,10 @@ class OneDSpec extends SparkSpec {
 
   test("RERANK emits the value at the open end of a hand-added region") {
     val db    = TestFixtures.diamonds(spark)
-    val store = new DenseRegionStore
     // [0, 1.00) holds no tuple, and its open end is the lwr = 1.00 spike.
-    store.add(Box(Map("lwr" -> Interval(0.0, 1.0, hiIncl = false))), Seq.empty)
-    val got   = new OneDRerank(new WebDbConn(db, cache = new AnswerCache(store)), WebQuery.all, "lwr", asc = true).next(30)
+    val store = TestFixtures.storeOf(Box(Map("lwr" -> Interval(0.0, 1.0, hiIncl = false))) -> Seq.empty)
+    val conn  = TestFixtures.inTurnOverOneStore(db, store).next()
+    val got   = new OneDRerank(conn, WebQuery.all, "lwr", asc = true).next(30)
     val truth = TestFixtures.groundTruth1D(db, WebQuery.all, "lwr", asc = true).take(30)
     assert(truth.head.num("lwr") == 1.0, "premise: the spike is the smallest lwr value")
     assert(got.map(_.id) == truth.map(_.id))
@@ -207,10 +207,9 @@ class OneDSpec extends SparkSpec {
     val db    = TestFixtures.diamonds(spark)
     val dom   = db.schema.numDomains("price")
     val box   = Box(Map("price" -> Interval(dom.lo - 10, dom.hi), "carat" -> Interval(0.5, 0.7)))
-    val store = new DenseRegionStore
-    store.add(box, Crawler.crawlQuery(new WebDbConn(db), box.toQuery()))
+    val store = TestFixtures.storeOf(box -> Crawler.crawlQuery(new WebDbConn(db), box.toQuery()))
     val base  = WebQuery.all.and("carat", Interval(0.55, 0.65))
-    val conn  = new WebDbConn(db, cache = new AnswerCache(store))
+    val conn  = TestFixtures.inTurnOverOneStore(db, store).next()
     val got   = new OneDRerank(conn, base, "price", asc = true).next(10)
     assert(got.map(_.id) == TestFixtures.groundTruth1D(db, base, "price", asc = true).take(10).map(_.id))
     assert(conn.acc.queries == 0, "the indexed region holds every tuple of the filter")

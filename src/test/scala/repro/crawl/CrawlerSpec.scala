@@ -139,9 +139,17 @@ class CrawlerSpec extends SparkSpec {
     genBox.map(_.toQuery(WebQuery.all.and("lwr", Interval.point(1.0)))),
   )
 
-  /** A connection whose cache is over `store`, or over a fresh one. */
+  /** A query an indexed crawl takes: a box, alone or within the lwr = 1.00
+    * spike (an indexed region is a box, so no facet).
+    */
+  private lazy val genBoxQuery: Gen[WebQuery] = Gen.oneOf(
+    genBox.map(_.toQuery()),
+    genBox.map(_.toQuery(WebQuery.all.and("lwr", Interval.point(1.0)))),
+  )
+
+  /** A connection whose cache is seeded with `store`, or empty. */
   private def connOver(on: WebDb, store: Option[DenseRegionStore]): WebDbConn =
-    new WebDbConn(on, cache = new AnswerCache(store.getOrElse(new DenseRegionStore)))
+    TestFixtures.inTurnOverOneStore(on, store.getOrElse(DenseRegionStore.empty)).next()
 
   /** Crawl `q`, an indexed crawl reading `store` if one is given. */
   private def crawlsExactly(q: WebQuery, store: Option[DenseRegionStore]): Prop = {
@@ -154,21 +162,23 @@ class CrawlerSpec extends SparkSpec {
   }
 
   test("property: a crawl through a store holding an overlapping region is still exact") {
-    check(Prop.forAll(genQuery, genBox) { (q, region) =>
-      val store = new DenseRegionStore
-      store.add(region, db.allTuples.filter(region.toQuery().matches))
-      crawlsExactly(q, Some(store))
-    })
+    check(Prop.forAll(genBoxQuery, genBox)((q, region) => crawlsExactly(q, Some(storeOf(region)))))
   }
 
   test("sub-queries inside an indexed region are answered from the store, unbilled") {
     val spike = Box(Map("lwr" -> Interval.point(1.0)))
-    val store = new DenseRegionStore
-    store.add(spike, db.allTuples.filter(spike.toQuery().matches))
-    val conn = connOver(db, Some(store))
-    val q    = spike.toQuery(WebQuery.all.andCat("cut", Set("Ideal")))
+    val conn  = connOver(db, Some(storeOf(spike)))
+    val q     = spike.toQuery(WebQuery.all.and("price", Interval(200.0, 3000.0)))
+    assert(brute(db, q).size > db.k, "premise: the query overflows")
     assert(Crawler.crawlQuery(conn, q, indexed = true).map(_.id).toSet == brute(db, q))
     assert(conn.acc.queries == 0)
+  }
+
+  test("an indexed crawl of a query with a categorical constraint is refused: an indexed region is a box") {
+    val conn = new WebDbConn(db)
+    val q    = Box(Map("lwr" -> Interval.point(1.0))).toQuery(WebQuery.all.andCat("cut", Set("Ideal")))
+    intercept[IllegalArgumentException](Crawler.crawlQuery(conn, q, indexed = true))
+    assert(conn.cache.store.size == 0, "the crawl is not indexed")
   }
 
   // -------------------------------------------------------------------
@@ -181,11 +191,8 @@ class CrawlerSpec extends SparkSpec {
   private lazy val spikeBox = Box(Map("price" -> Interval(200.0, 3000.0), "lwr" -> Interval(1.0, 1.2))).toQuery()
 
   /** A store holding each region with every tuple of the database in it. */
-  private def storeOf(regions: Box*): DenseRegionStore = {
-    val store = new DenseRegionStore
-    regions.foreach(r => store.add(r, db.allTuples.filter(r.toQuery().matches)))
-    store
-  }
+  private def storeOf(regions: Box*): DenseRegionStore =
+    TestFixtures.storeOf(regions.map(r => r -> db.allTuples.filter(r.toQuery().matches)): _*)
 
   /** The requests a crawl of `q` sends, and the tuples it returns; an
     * indexed crawl reading `store` if one is given.

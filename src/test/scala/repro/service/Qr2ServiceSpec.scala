@@ -202,6 +202,54 @@ class Qr2ServiceSpec extends SparkSpec {
     assert(service.store.size > 0)
   }
 
+  test("a service adopts a store without rewriting it, and answers from the region's canonical form unbilled") {
+    val db    = TestFixtures.diamonds(spark)
+    val dom   = db.schema.numDomains("price")
+    val box   = Box(Map("price" -> Interval(dom.lo - 10, dom.hi), "carat" -> Interval(0.5, 0.7)))
+    val store = TestFixtures.storeOf(box -> db.allTuples.filter(box.toQuery().matches))
+    val service = new Qr2Service(db, store)
+    assert(store.allEntries.map(_.box) == Vector(box), "the caller's store keeps its non-canonical region")
+    val q     = WebQuery.all.and("price", dom).and("carat", Interval(0.55, 0.56))
+    val truth = db.allTuples.filter(q.matches).map(_.id).toSet
+    assert(truth.nonEmpty && truth.size <= db.k, s"premise: the query matches ${truth.size} tuples")
+    val conn = new WebDbConn(db, cache = service.cache)
+    assert(conn.topK(q).tuples.map(_.id).toSet == truth)
+    assert(conn.acc.queries == 0, "answered from the adopted region")
+  }
+
+  // perfbench/ builds on its own and reads the service through these names:
+  // the store snapshot's counts, and the stack frames its tracer attributes
+  // each backend request by (Qr2Service.minMax* or verifyCache, else
+  // repro.crawl.Crawler, else an algorithm probe).
+  test("the benchmark's contract: store snapshot counts, and the frames backend requests are attributed by") {
+    val db  = new RecordingWebDb(TestFixtures.diamonds(spark))
+    val svc = new Qr2Service(db)
+    def sentFrom(frames: Seq[StackTraceElement], method: String) =
+      frames.exists(f => f.getClassName == "repro.service.Qr2Service" && f.getMethodName.contains(method))
+    def crawling(frames: Seq[StackTraceElement]) = frames.exists(_.getClassName.startsWith("repro.crawl.Crawler"))
+
+    val oneD = svc.newSession(WebQuery.all, OneDRank("lwr", asc = true), Algo.Rerank)
+    oneD.getPage(10)
+    val st = svc.store
+    assert(st.size > 0 && st.indexedTupleCount == st.allEntries.flatMap(_.tuples).size)
+    assert(st.allEntries.flatMap(_.tuples.map(_.id)).distinct.nonEmpty)
+    assert(db.stacks.size == oneD.stats.queries && oneD.stats.crawlQueries > 0)
+    assert(db.stacks.count(crawling) == oneD.stats.crawlQueries, "crawl requests carry a Crawler frame")
+    assert(!db.stacks.exists(sentFrom(_, "minMax")))
+
+    val n  = db.stacks.size
+    val md = svc.newSession(WebQuery.all, MDRank(Seq("price" -> 1.0, "carat" -> -0.5)), Algo.Rerank)
+    val discovery = db.stacks.drop(n)
+    assert(discovery.size == svc.serviceAcc.queries && discovery.nonEmpty)
+    assert(discovery.forall(sentFrom(_, "minMax")), "discovery requests carry a Qr2Service.minMax* frame")
+    md.getPage(10)
+    assert(!db.stacks.drop(n + discovery.size).exists(sentFrom(_, "minMax")))
+
+    val m = db.stacks.size
+    svc.verifyCache()
+    assert(db.stacks.size > m && db.stacks.drop(m).forall(s => sentFrom(s, "verifyCache") && crawling(s)))
+  }
+
   test("verifyCache re-crawls every region and keeps the content consistent") {
     val db      = TestFixtures.diamonds(spark)
     val service = new Qr2Service(db)

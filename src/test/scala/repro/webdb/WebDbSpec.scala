@@ -434,9 +434,9 @@ class WebDbSpec extends SparkSpec {
       partial <- genPartial(region)
     } yield (region, inside, partial)
     check(Prop.forAll(genCase) { case (region, inside, partial) =>
-      val store = new DenseRegionStore
-      Crawler.crawlQuery(new WebDbConn(diamonds, cache = new AnswerCache(store)), region, indexed = true)
-      val conn = new WebDbConn(diamonds, cache = new AnswerCache(store))
+      val conns = TestFixtures.inTurnOverOneStore(diamonds)
+      Crawler.crawlQuery(conns.next(), region, indexed = true)
+      val conn = conns.next()
       val got  = conn.content(inside).map(_.map(_.id).sorted)
       (Prop(got == Some(diamonds.allTuples.filter(inside.matches).map(_.id).sorted)) :| "inside: every match" &&
         Prop(conn.content(partial).isEmpty) :| "partly outside: no answer" &&
@@ -452,13 +452,13 @@ class WebDbSpec extends SparkSpec {
     def ids(cache: AnswerCache) = new WebDbConn(diamonds, cache = cache).content(q).map(_.map(_.id).sorted)
     assert(truth.exists(_.nonEmpty), "premise: the query matches some tuple")
     // By an indexed crawl.
-    val crawled = new DenseRegionStore
-    DensePolicy.Indexed.crawl(new WebDbConn(diamonds, cache = new AnswerCache(crawled)), WebQuery.all, box)
-    assert(crawled.size == 1)
-    assert(ids(new AnswerCache(crawled)) == truth, "crawled")
+    val conns   = TestFixtures.inTurnOverOneStore(diamonds)
+    val crawler = conns.next()
+    DensePolicy.Indexed.crawl(crawler, WebQuery.all, box)
+    assert(crawler.cache.store.size == 1)
+    assert(ids(conns.next().cache) == truth, "crawled")
     // Added as it stands, then adopted by a service, then verified.
-    val added = new DenseRegionStore
-    added.add(box, diamonds.allTuples.filter(box.toQuery().matches))
+    val added = TestFixtures.storeOf(box -> diamonds.allTuples.filter(box.toQuery().matches))
     val service = new Qr2Service(diamonds, added)
     assert(ids(service.cache) == truth, "adopted")
     service.verifyCache()
