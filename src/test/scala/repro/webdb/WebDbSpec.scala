@@ -206,6 +206,19 @@ class WebDbSpec extends SparkSpec {
     assert(c1.acc.queries == 1 && c2.acc.queries == 1)
   }
 
+  test("AnswerCache.reset swaps in the verified regions and forgets every other answer") {
+    def t(id: Long, v: Double): WebTuple = WebTuple(id, Map("x" -> v, "y" -> 0.5), Map.empty)
+    def q(x: Interval): WebQuery         = Box(Map("x" -> x)).toQuery()
+    val c = new AnswerCache(TestFixtures.storeOf(Box(Map("x" -> Interval(0.0, 1.0))) -> Seq(t(1, 0.5))))
+    c.received(Seq(q(Interval(2.0, 3.0)) -> TopKResponse(Vector(t(2, 2.5)), overflow = false)))
+    assert(c.memoSize == 1 && c.content(q(Interval(2.2, 2.8))).isDefined, "premise")
+    c.reset(TestFixtures.storeOf(Box(Map("x" -> Interval(5.0, 6.0))) -> Seq(t(9, 5.5))))
+    assert(c.store.size == 1)
+    assert(c.stored(q(Interval(5.2, 5.8))).get.map(_.id) == Vector(9L))
+    assert(c.stored(q(Interval(0.2, 0.8))).isEmpty)
+    assert(c.memoSize == 0 && c.content(q(Interval(2.2, 2.8))).isEmpty, "the memo and the regions are forgotten")
+  }
+
   test("accountant `since` computes deltas") {
     val db   = TestFixtures.diamonds(spark)
     val conn = new WebDbConn(db)
