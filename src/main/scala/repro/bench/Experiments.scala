@@ -166,6 +166,7 @@ object Experiments {
       crawlQueries: Long,
       crawlBound: Long,
       boxesPassed: Long,
+      boxesFilled: Long,
       discoveryQueries: Long,
       discoveryRounds: Long,
   )
@@ -197,15 +198,15 @@ object Experiments {
       val session = firstPage(service, WebQuery.all, rank, algo)
       val s       = session.stats
       T4Row(label, algoName, s.queries, s.rounds, s.crawlQueries, s.crawlLowerBound(db.k), session.boxesPassed,
-        service.serviceAcc.queries, service.serviceAcc.rounds)
+        session.boxesFilled, service.serviceAcc.queries, service.serviceAcc.rounds)
     }
   }
 
   def report4(rows: Seq[T4Row]): String = render(
     "Table 4 — MD top-10 query cost by ranking function, fresh service per cell",
-    Seq("ranking", "algo", "queries", "rounds", CrawlHeader, PassedHeader, "discovery queries / rounds"),
+    Seq("ranking", "algo", "queries", "rounds", CrawlHeader, PassedHeader, FilledHeader, "discovery queries / rounds"),
     rows.map(r => Seq(r.ranking, r.algo, r.queries.toString, r.rounds.toString, crawl(r.crawlQueries, r.crawlBound),
-      r.boxesPassed.toString, s"${r.discoveryQueries} / ${r.discoveryRounds}")),
+      r.boxesPassed.toString, r.boxesFilled.toString, s"${r.discoveryQueries} / ${r.discoveryRounds}")),
   )
 
   // -------------------------------------------------------------------
@@ -376,4 +377,9 @@ object Experiments {
     * without a query (0 for the other strategies).
     */
   private val PassedHeader = "boxes passed"
+
+  /** Column header for the page-frontier boxes MD-BASELINE drew into the
+    * idle slots of its rounds (0 for the other strategies).
+    */
+  private val FilledHeader = "boxes filled"
 }

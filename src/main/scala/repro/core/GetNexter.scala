@@ -16,7 +16,12 @@ trait GetNexter {
     */
   def getNext(): Option[WebTuple]
 
-  /** Convenience: up to `n` further tuples (stops early on exhaustion). */
+  /** A page: up to `n` further tuples, the results of `n` get-nexts
+    * (stops early on exhaustion). The page size lets a strategy share work
+    * across the page's get-nexts: [[MDBaseline]] fills its rounds' idle
+    * slots from a page-wide frontier and emits the rest of the page once
+    * that frontier is proven.
+    */
   def next(n: Int): Vector[WebTuple] = {
     val b    = Vector.newBuilder[WebTuple]
     var i    = 0

@@ -31,6 +31,17 @@ final class Candidates(score: WebTuple => Double) {
     pending.remove((s, t.id)); emitted += t.id; last = s; t
   }
 
+  /** True when `t` was emitted. */
+  def wasEmitted(t: WebTuple): Boolean = emitted.contains(t.id)
+
+  /** Score of the r-th best candidate, if there are r candidates. */
+  def scoreAt(r: Int): Option[Double] = pending.keysIterator.drop(r - 1).nextOption().map(_._1)
+
+  /** `t` was emitted from another pool: drop it; it is never added again. */
+  def drop(t: WebTuple): Unit = {
+    pending.remove((score(t), t.id)); emitted += t.id
+  }
+
   /** Score of the last emitted tuple, −∞ before the first. */
   def lastEmitted: Double = last
 
@@ -87,37 +98,50 @@ abstract class MDAlgorithm(
     */
   protected def atGiveUpWidth(b: Box): Boolean = widestDim(b)._2 <= policy.widthMD
 
-  /** One round of the search. Up to [[WebDbConn.MaxPar]] boxes are drawn
-    * from `boxes`, all at the `s*` the round began with; a box inside a
+  /** One round of the search. Up to [[WebDbConn.MaxPar]] required boxes
+    * are drawn from `boxes`, all at the `s*` the round began with, and the
+    * `riding` boxes fill the slots the caller left idle; a box inside a
     * complete or indexed region of the connection's cache
-    * ([[WebDbConn.content]]) resolves locally, and the rest go out as **one parallel batch**. The
-    * responses are considered in batch order: a box overflowing at the
-    * policy's give-up width is crawled, any other overflowing box is handed
-    * to `overflow` at once, so the caller sees `s*` as the local answers
-    * and the earlier responses of the round left it. The boxes need not
-    * be ones the search queued: [[MDBranchAndBound]] hands in the box its
-    * descent reached, and learns from `overflow` whether it was split.
+    * ([[WebDbConn.content]]) resolves locally, and the rest go out as
+    * **one parallel batch**. The answers are considered in draw order,
+    * local or sent: a required box overflowing at the policy's give-up
+    * width is crawled, any other overflowing box is handed to `overflow`
+    * at once, so the caller sees `s*` as the answers of the boxes drawn
+    * before it left it. The tuples of the required boxes join the
+    * candidates; every tuple of the round goes to [[seen]]. The boxes need
+    * not be ones the search queued: [[MDBranchAndBound]] hands in the box
+    * its descent reached, and learns from `overflow` whether it was split.
     *
     * What a round draws depends only on the search's state when it
-    * begins, not on which of its boxes the caches answer, and a box
-    * answers the same whether it resolves locally or is sent. So a session
-    * that repeats an earlier one on the same answer cache draws the same
-    * boxes and sends only queries the cache holds: it bills nothing.
+    * begins, not on which of its boxes the caches answer; a box answers
+    * the same whether it resolves locally or is sent, and its answer is
+    * considered at the same place. So a session that repeats an earlier
+    * one on the same answer cache draws the same boxes and sends only
+    * queries the cache holds: it bills nothing.
     */
-  protected final def round(boxes: Iterator[Box])(overflow: Box => Unit): Unit = {
-    val drawn = boxes.take(WebDbConn.MaxPar).toVector
+  protected final def round(boxes: Iterator[Box], riding: Seq[Box] = Nil)(overflow: Box => Unit): Unit = {
+    val required = boxes.take(WebDbConn.MaxPar).toVector
+    val drawn    = required ++ riding.filterNot(required.contains)
+    require(drawn.size <= WebDbConn.MaxPar, s"${drawn.size} boxes in one round")
+    def add(box: Box, ts: Seq[WebTuple]): Unit = {
+      if (required.contains(box)) candidates.add(ts)
+      seen(ts)
+    }
     val known = drawn.map(box => conn.content(box.toQuery(base)))
-    known.flatten.foreach(candidates.add)
     val batch = drawn.zip(known).collect { case (box, None) => box }
-    if (batch.nonEmpty) {
-      val responses = conn.batch(batch.map(_.toQuery(base)))
-      batch.lazyZip(responses).foreach { (box, res) =>
-        candidates.add(res.tuples)
-        if (res.overflow && atGiveUpWidth(box)) candidates.add(policy.crawl(conn, base, box))
-        else if (res.overflow) overflow(box)
-      }
+    val sent =
+      if (batch.isEmpty) Map.empty[Box, TopKResponse]
+      else batch.zip(conn.batch(batch.map(_.toQuery(base)))).toMap
+    drawn.lazyZip(known).foreach { (box, local) =>
+      val res = local.fold(sent(box))(TopKResponse(_, overflow = false))
+      add(box, res.tuples)
+      if (res.overflow && atGiveUpWidth(box) && required.contains(box)) add(box, policy.crawl(conn, base, box))
+      else if (res.overflow) overflow(box)
     }
   }
+
+  /** Every tuple a [[round]] returns, from required and riding boxes. */
+  protected def seen(ts: Seq[WebTuple]): Unit = ()
 }
 
 /** MD-BINARY and MD-RERANK — best-first branch-and-bound over boxes: a
@@ -244,6 +268,16 @@ final class MDRerank(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: No
   * frontier is re-verified every round, which is cheap when the hidden
   * ranking is positively correlated with `f` (the first broad query already
   * surfaces a near-optimal tuple) and expensive otherwise.
+  *
+  * A page (`next(n)`) keeps a second frontier beside the get-next search:
+  * the search box clipped at `sPage`, the score of the r-th best tuple the
+  * page has seen, where r is the number of results the page still owes
+  * (+∞ until r tuples have been seen), plus the tie tolerance. Its boxes
+  * ride in the rounds the search sends anyway (`nextRound`), which
+  * would otherwise leave most of their slots idle (QR2 §II-B); once it is
+  * empty, every tuple that could be among the page's remaining results has
+  * been seen, and they are emitted with no further search (Fagin/Lotem/
+  * Naor's rule: emit once proven).
   */
 final class MDBaseline(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: Normalizer)
     extends MDAlgorithm(conn, base, f, norm, DensePolicy.Unindexed) {
@@ -257,31 +291,129 @@ final class MDBaseline(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: 
   private def exhaustedBelowContour(b: Box): Boolean =
     RankContour.maxScore(f, b, norm) < candidates.lastEmitted
 
+  /** `boxes` clipped at `s`, without the ones that can no longer contain a
+    * tuple scoring below `s` (above the upper contour) or contain only
+    * already-emitted tuples (below the session's lower contour).
+    */
+  private def refine(boxes: Seq[Box], s: Double): Vector[Box] =
+    boxes.iterator
+      .map(b => RankContour.clip(f, b, s, norm))
+      .filterNot(b => b.isEmpty || exhaustedBelowContour(b))
+      .filter(b => minScoreOf(b) < s)
+      .toVector
+
+  /** An overflowing box narrowed at `s`: clipped when that shrinks it,
+    * split at its widest dimension otherwise.
+    */
+  private def narrow(box: Box, s: Double): Seq[Box] = {
+    val clipped = RankContour.clip(f, box, s, norm)
+    if (clipped.isEmpty) Nil // nothing below the contour in this box
+    else if (RankContour.shrank(box, clipped)) Seq(clipped)
+    else {
+      val (b1, b2) = box.split(widestDim(box)._1)
+      Seq(b1, b2).map(b => RankContour.clip(f, b, s, norm)).filterNot(_.isEmpty)
+    }
+  }
+
+  /** Every box the session has drawn, required or riding. */
+  private val drawn = mutable.HashSet.empty[Box]
+  private var filled = 0L
+
+  /** Page-frontier boxes the session drew into the slots of its rounds. */
+  def boxesFilled: Long = filled
+
+  /** The page frontier of the running `next(n)`: `owed` results to go,
+    * the tuples the page has seen and not emitted, and the boxes that could
+    * still hold one of its remaining results. A frontier box that overflows
+    * at the give-up width gives the frontier up for the rest of the page:
+    * it never crawls.
+    */
+  private final class Page(var owed: Int) {
+    val tuples   = new Candidates(f.score(_, norm))
+    var frontier = refine(Vector(initialBox), Double.PositiveInfinity)
+    var givenUp  = false
+
+    def sPage: Double = tuples.scoreAt(owed).map(_ + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
+
+    /** Every tuple that could be one of the `owed` results has been seen. */
+    def proven: Boolean = !givenUp && frontier.isEmpty
+
+    /** Replace the boxes that `rode` in a round by what their answers left
+      * of them: an answered box leaves, an `overflowed` one is narrowed.
+      * The narrowing waits for the whole round, so it reads `sPage` as the
+      * round left it, whichever of the round's boxes the cache answered;
+      * `sPage` only falls during a page, so that is also the lower of its
+      * values at the start and at the end of the round.
+      */
+    def advance(rode: Seq[Box], overflowed: Seq[Box]): Unit =
+      if (overflowed.exists(atGiveUpWidth)) { givenUp = true; frontier = Vector.empty }
+      else if (!givenUp) {
+        val s = sPage
+        frontier = refine(frontier.filterNot(rode.contains) ++ overflowed.flatMap(narrow(_, s)), s)
+      }
+  }
+
+  private var page: Option[Page] = None
+
+  override protected def seen(ts: Seq[WebTuple]): Unit =
+    page.foreach(_.tuples.add(ts.filterNot(candidates.wasEmitted)))
+
+  /** A page of up to `n` results: `n` get-nexts sharing one page frontier,
+    * which is dropped when the page is done.
+    */
+  override def next(n: Int): Vector[WebTuple] = {
+    val p = new Page(n)
+    page = Some(p)
+    try
+      Vector.unfold(()) { _ =>
+        if (p.owed == 0) None
+        else getNext().map { t => p.tuples.drop(t); p.owed -= 1; (t, ()) }
+      }
+    finally page = None
+  }
+
+  /** The next round of the search over `work`: its required boxes, the
+    * rest of `work`, and the page-frontier boxes that ride along. The page
+    * frontier takes up to `MaxPar − 1` slots and the required boxes the
+    * rest, at least one. A round whose required boxes the session has all
+    * drawn before is answered from the cache, so it takes no riding box,
+    * which would make it billed; the test reads the session's own state
+    * only, so a repeated session draws the same boxes.
+    */
+  private def nextRound(work: Vector[Box]): (Vector[Box], Vector[Box], Vector[Box]) = {
+    val riding       = page.fold(Vector.empty[Box])(_.frontier.take(WebDbConn.MaxPar - 1))
+    val (now, later) = work.splitAt(WebDbConn.MaxPar - riding.size)
+    if (now.forall(drawn)) {
+      val (all, rest) = work.splitAt(WebDbConn.MaxPar)
+      (all, rest, Vector.empty)
+    } else (now, later, riding)
+  }
+
   /** Starts from the root with no candidates on every get-next: keeping
-    * them across get-nexts doubles the queries of the BASELINE pins.
+    * them across get-nexts doubles the queries of the get-next pin. The
+    * page's tuples stay out of the candidates, so the search keeps the
+    * `s*` and the boxes of a lone get-next; it stops once the page frontier
+    * is proven, and then the page's best tuple is the next result.
     */
   protected def search(): Unit = {
     candidates.clear()
+    def proven = page.exists(_.proven)
     var work = Vector(initialBox).filterNot(b => b.isEmpty || exhaustedBelowContour(b))
-    while (work.nonEmpty) {
-      val (now, later) = work.splitAt(WebDbConn.MaxPar)
-      val keep         = mutable.Buffer.from(later)
-      round(now.iterator) { box =>
-        val clipped = RankContour.clip(f, box, sStar, norm)
-        if (clipped.isEmpty) () // nothing below the contour in this box
-        else if (RankContour.shrank(box, clipped)) keep += clipped
-        else {
-          val (b1, b2) = box.split(widestDim(box)._1)
-          keep ++= Seq(b1, b2).map(b => RankContour.clip(f, b, sStar, norm)).filterNot(_.isEmpty)
-        }
+    while (work.nonEmpty && !proven) {
+      val (now, later, riding) = nextRound(work)
+      val keep                 = mutable.Buffer.from(later)
+      val overflowed           = mutable.Buffer.empty[Box]
+      round(now.iterator, riding) { box =>
+        if (now.contains(box)) keep ++= narrow(box, sStar)
+        if (riding.contains(box)) overflowed += box
       }
-      // Re-clip the frontier against the tightened contour and drop boxes
-      // that can no longer contain an improvement (above the upper contour)
-      // or only already-emitted tuples (below the session's lower contour).
-      work = keep.toVector
-        .map(b => RankContour.clip(f, b, sStar, norm))
-        .filterNot(b => b.isEmpty || exhaustedBelowContour(b))
-        .filter(b => minScoreOf(b) < sStar)
+      drawn ++= now
+      drawn ++= riding
+      filled += riding.count(b => !now.contains(b))
+      page.foreach(_.advance(riding, overflowed.toSeq))
+      // Re-clip the frontier against the tightened contour.
+      work = refine(keep.toSeq, sStar)
     }
+    if (proven) page.flatMap(_.tuples.best).foreach { case (_, t) => candidates.add(Seq(t)) }
   }
 }

@@ -198,6 +198,15 @@ final class Qr2Session(
     case _                   => 0L
   }
 
+  /** Page-frontier boxes the session's MD-BASELINE drew into the idle
+    * slots of its rounds ([[MDBaseline.boxesFilled]]); 0 under every other
+    * strategy.
+    */
+  def boxesFilled: Long = impl match {
+    case b: MDBaseline => b.boxesFilled
+    case _             => 0L
+  }
+
   /** Simulated processing time: rounds at `DbStats.DefaultLatencyMs` each. */
   def simulatedMs: Long = stats.simulatedMs
 

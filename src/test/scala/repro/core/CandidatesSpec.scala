@@ -30,4 +30,14 @@ class CandidatesSpec extends AnyFunSuite {
     assert(c.lastEmitted == 0.7)
     assert(c.emit().isEmpty)
   }
+
+  test("scoreAt reads the r-th best score, and a dropped tuple leaves and never comes back") {
+    val c = new Candidates(_.num("s"))
+    c.add(Seq(t(3, 0.5), t(1, 0.5), t(2, 0.7)))
+    assert(c.scoreAt(1) == Some(0.5) && c.scoreAt(3) == Some(0.7) && c.scoreAt(4).isEmpty)
+    c.drop(t(1, 0.5))
+    assert(c.wasEmitted(t(1, 0.5)) && !c.wasEmitted(t(3, 0.5)))
+    c.add(Seq(t(1, 0.5)))
+    assert(c.best.map(_._2.id) == Some(3L) && c.scoreAt(2) == Some(0.7))
+  }
 }

@@ -7,9 +7,10 @@ import org.scalacheck.{Gen, Prop, Test}
 import repro.webdb._
 import repro.{SparkSpec, TestFixtures}
 
-/** The branch-and-bound strategies emit the ground-truth top-h for random
-  * slider weights, facet filters and search boxes clipped by a numeric
-  * constraint, on top-k interfaces with k = 1 and k = 10.
+/** The MD strategies emit the ground-truth top-h for random slider
+  * weights, facet filters and search boxes clipped by a numeric
+  * constraint, on top-k interfaces with k = 1 and k = 10, in one page and
+  * in two pages of one session.
   */
 class MDProps extends SparkSpec {
 
@@ -59,20 +60,42 @@ class MDProps extends SparkSpec {
       h    <- Gen.choose(1, 6)
     } yield (k, f, base, h)
 
-  private def emitsTruth(mk: (WebDbConn, WebQuery, LinearRanking, Normalizer) => GetNexter): Prop =
-    Prop.forAll(genCase) { case (k, f, base, h) =>
-      val db    = dbs(k)
-      val norm  = TestFixtures.trueNorm(db, f.attrs)
-      val truth = TestFixtures.groundTruth(db, base, f, norm).take(h).map(_.id)
-      val got   = mk(new WebDbConn(db), base, f, norm).next(h).map(_.id)
-      (got == truth) :| s"k=$k $f $base: expected $truth, got $got"
-    }
+  private type Make = (WebDbConn, WebQuery, LinearRanking, Normalizer) => GetNexter
 
-  test("property: MD-BINARY emits the ground-truth top-h") {
-    check(emitsTruth((c, base, f, n) => new MDBinary(c, base, f, n)))
+  /** Pages of the given sizes, in one session, are the ground-truth prefix. */
+  private def pagesMatchTruth(mk: Make, k: Int, f: LinearRanking, base: WebQuery, pages: Seq[Int]): Prop = {
+    val db    = dbs(k)
+    val norm  = TestFixtures.trueNorm(db, f.attrs)
+    val truth = TestFixtures.groundTruth(db, base, f, norm).take(pages.sum).map(_.id)
+    val g     = mk(new WebDbConn(db), base, f, norm)
+    val got   = pages.flatMap(g.next(_).map(_.id))
+    (got == truth) :| s"k=$k $f $base pages $pages: expected $truth, got $got"
   }
 
-  test("property: MD-RERANK emits the ground-truth top-h") {
-    check(emitsTruth((c, base, f, n) => new MDRerank(c, base, f, n)))
+  private def emitsTruth(mk: Make): Prop =
+    Prop.forAll(genCase) { case (k, f, base, h) => pagesMatchTruth(mk, k, f, base, Seq(h)) }
+
+  /** `next(h1) ++ next(h2)` is the ground-truth top h1 + h2: nothing of
+    * the first page leaks into the second.
+    */
+  private def twoPagesEmitTruth(mk: Make): Prop =
+    Prop.forAll(genCase, Gen.choose(1, 6)) { case ((k, f, base, h1), h2) =>
+      pagesMatchTruth(mk, k, f, base, Seq(h1, h2))
+    }
+
+  private val strategies: Seq[(String, Make)] = Seq(
+    "MD-BASELINE" -> ((c, base, f, n) => new MDBaseline(c, base, f, n)),
+    "MD-BINARY"   -> ((c, base, f, n) => new MDBinary(c, base, f, n)),
+    "MD-RERANK"   -> ((c, base, f, n) => new MDRerank(c, base, f, n)),
+  )
+
+  for ((name, mk) <- strategies) {
+    test(s"property: $name emits the ground-truth top-h") {
+      check(emitsTruth(mk))
+    }
+
+    test(s"property: $name emits the ground-truth top h1 + h2 in two pages") {
+      check(twoPagesEmitTruth(mk))
+    }
   }
 }

@@ -387,6 +387,50 @@ class Qr2ServiceSpec extends SparkSpec {
     }
   }
 
+  test("a repeated MD-BASELINE session whose pages fill idle slots bills no query and no round, and emits the same ids") {
+    val sessions = Seq(
+      (TestFixtures.diamonds(spark), WebQuery.all, MDRank(Seq("price" -> 1.0, "carat" -> -0.1, "depth" -> -0.5))),
+      (TestFixtures.houses(spark), WebQuery.all.andCat("zip", Set("90001")), MDRank(Seq("price" -> 0.7, "sqft" -> -0.1))),
+    )
+    for ((db, base, spec) <- sessions) {
+      val service = new Qr2Service(db)
+      val first   = service.newSession(base, spec, Algo.Baseline)
+      val ids     = first.getPage(10).map(_.id) ++ first.getPage(10).map(_.id)
+      assert(ids == truthIds(db, base, spec, 20), s"$spec $base")
+      assert(first.boxesFilled > 0, s"$spec $base: no page-frontier box filled a slot")
+      val again    = service.newSession(base, spec, Algo.Baseline)
+      val idsAgain = again.getPage(10).map(_.id) ++ again.getPage(10).map(_.id)
+      assert(idsAgain == ids, s"$spec $base")
+      assert(again.stats.queries == 0 && again.stats.rounds == 0,
+        s"$spec $base: repeat ${again.statsPanel} after ${first.statsPanel}")
+    }
+  }
+
+  test("a session mixing getNext and getPage emits the ground-truth order under every strategy") {
+    val db   = TestFixtures.diamonds(spark)
+    val spec = MDRank(Seq("price" -> 1.0, "carat" -> -0.5))
+    for (algo <- Algo.all) {
+      val session = new Qr2Service(db).newSession(WebQuery.all, spec, algo)
+      val got = session.getNext().toVector ++ session.getPage(10) ++ session.getNext() ++ session.getNext() ++
+        session.getPage(5)
+      assert(got.map(_.id) == truthIds(db, WebQuery.all, spec, 18), s"$algo")
+      assert(session.seen == got, s"$algo")
+    }
+  }
+
+  test("getPage(0) returns an empty page and bills nothing") {
+    val db = TestFixtures.diamonds(spark)
+    for (spec <- Seq(MDRank(Seq("price" -> 1.0, "carat" -> -0.5)), OneDRank("carat")); algo <- Algo.all) {
+      val session = new Qr2Service(db).newSession(WebQuery.all, spec, algo)
+      assert(session.getPage(0).isEmpty, s"$algo $spec")
+      assert(session.stats.queries == 0 && session.stats.rounds == 0, s"$algo $spec: ${session.statsPanel}")
+      val page  = session.getPage(3)
+      val stats = session.stats
+      assert(session.getPage(0).isEmpty, s"$algo $spec")
+      assert(session.stats == stats && session.seen == page, s"$algo $spec")
+    }
+  }
+
   test("a BINARY session after a RERANK session of the same houses ranking is correct and bills less") {
     val db    = TestFixtures.houses(spark)
     val spec  = MDRank(Seq("price" -> 0.7, "sqft" -> -0.1))
