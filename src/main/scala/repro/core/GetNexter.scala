@@ -18,9 +18,12 @@ trait GetNexter {
 
   /** A page: up to `n` further tuples, the results of `n` get-nexts
     * (stops early on exhaustion). The page size lets a strategy share work
-    * across the page's get-nexts: [[MDBaseline]] fills its rounds' idle
-    * slots from a page-wide frontier and emits the rest of the page once
-    * that frontier is proven.
+    * across the page's get-nexts ([[MDAlgorithm.next]]): [[MDBaseline]]
+    * fills its rounds' idle slots from a page-wide frontier and emits the
+    * rest of the page once that frontier is proven; [[MDBranchAndBound]]
+    * (MD-BINARY, MD-RERANK), on a page after the session's first result,
+    * fills them with queued boxes that could hold one of the page's
+    * remaining results.
     */
   def next(n: Int): Vector[WebTuple] = {
     val b    = Vector.newBuilder[WebTuple]

@@ -34,8 +34,11 @@ final class Candidates(score: WebTuple => Double) {
   /** True when `t` was emitted. */
   def wasEmitted(t: WebTuple): Boolean = emitted.contains(t.id)
 
-  /** Score of the r-th best candidate, if there are r candidates. */
-  def scoreAt(r: Int): Option[Double] = pending.keysIterator.drop(r - 1).nextOption().map(_._1)
+  /** Score of the r-th best candidate, if there are r candidates; r ≥ 1. */
+  def scoreAt(r: Int): Option[Double] = {
+    require(r >= 1, s"no ${r}-th best candidate")
+    pending.keysIterator.drop(r - 1).nextOption().map(_._1)
+  }
 
   /** `t` was emitted from another pool: drop it; it is never added again. */
   def drop(t: WebTuple): Unit = {
@@ -50,9 +53,12 @@ final class Candidates(score: WebTuple => Double) {
 }
 
 /** Shared skeleton of the MD get-next strategies: the session's
-  * [[Candidates]] and the parallel round executor. A get-next runs
-  * [[search]], which improves the best candidate until no box can beat it,
-  * and emits that candidate.
+  * [[Candidates]], the page bookkeeping and the parallel round executor. A
+  * get-next runs [[search]], which improves the best candidate until no box
+  * can beat it, and emits that candidate. A page (`next(n)`) runs n
+  * get-nexts that know how many results the page still owes ([[owed]]), so
+  * a strategy can fill its rounds' idle slots with boxes that could hold
+  * one of them.
   */
 abstract class MDAlgorithm(
     val conn: WebDbConn,
@@ -90,6 +96,36 @@ abstract class MDAlgorithm(
     candidates.emit()
   }
 
+  private var owing      = 0
+  private var continuing = false
+  private var filled     = 0L
+
+  /** Results the running page still owes, the get-next in progress
+    * included; 0 outside a page.
+    */
+  protected final def owed: Int = owing
+
+  /** True while a page runs that began after the session's first result. */
+  protected final def continuationPage: Boolean = owing > 0 && continuing
+
+  /** `sPage`: the score of the [[owed]]-th best tuple of `pool` plus the
+    * tie tolerance, or +∞ while `pool` holds fewer. A box whose best score
+    * is not below it cannot hold one of the page's remaining results.
+    */
+  protected final def pageContour(pool: Candidates): Double =
+    pool.scoreAt(owing).map(_ + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
+
+  /** Boxes the session drew into the idle slots of its rounds. */
+  final def boxesFilled: Long = filled
+
+  /** A page of up to `n` results: `n` get-nexts that read [[owed]]. */
+  override def next(n: Int): Vector[WebTuple] = {
+    owing = n
+    continuing = candidates.lastEmitted > Double.NegativeInfinity // the session emitted a result
+    try Vector.unfold(())(_ => if (owing == 0) None else getNext().map { t => owing -= 1; (t, ()) })
+    finally owing = 0
+  }
+
   /** Improve the best candidate until no unexplored box can beat it. */
   protected def search(): Unit
 
@@ -123,6 +159,7 @@ abstract class MDAlgorithm(
     val required = boxes.take(WebDbConn.MaxPar).toVector
     val drawn    = required ++ riding.filterNot(required.contains)
     require(drawn.size <= WebDbConn.MaxPar, s"${drawn.size} boxes in one round")
+    filled += drawn.size - required.size
     def add(box: Box, ts: Seq[WebTuple]): Unit = {
       if (required.contains(box)) candidates.add(ts)
       seen(ts)
@@ -170,6 +207,23 @@ abstract class MDAlgorithm(
   * the get-next that emitted score `s`, every queued box has a best score
   * of at least `s` plus the tie tolerance, so none lies below the
   * session's lower rank-contour.
+  *
+  * On a continuation page (one that began after the session's first
+  * result) a round whose required boxes leave slots idle fills them with
+  * the next queued boxes, in bound order, that could hold one of the
+  * page's remaining results: best score below `sPage`, the score of the
+  * owed-th best candidate plus the tie tolerance ([[pageContour]]). These
+  * *riding* boxes are never descended and never crawled: their tuples
+  * join the candidates ([[seen]]), a complete one leaves the queue, and an
+  * overflowing one is split and both halves are queued, so the queue
+  * still covers every unexplored box. An overflowing riding box at the
+  * give-up width is queued again whole and never rides again: a round
+  * that requires it crawls it, as it would have without riding. Which
+  * boxes ride does not depend on the policy, so BINARY and RERANK ride the
+  * same boxes while their queues agree. First pages and lone get-nexts
+  * ride nothing: on a first page the candidates are the hidden ranking's
+  * top-k of overflowing boxes, far from the page's contour, and riding
+  * would cost queries for few rounds.
   */
 class MDBranchAndBound(
     conn: WebDbConn,
@@ -190,8 +244,8 @@ class MDBranchAndBound(
   /** Boxes the session passed over without a query while descending. */
   def boxesPassed: Long = passed
 
-  private def push(b: Box): Unit =
-    if (!b.isEmpty) { serial += 1; pq.enqueue(Entry(minScoreOf(b), serial, b)) }
+  private def push(b: Box, mayRide: Boolean = true): Unit =
+    if (!b.isEmpty) { serial += 1; pq.enqueue(Entry(minScoreOf(b), serial, b, mayRide)) }
 
   private def viable(b: Box): Boolean = !b.isEmpty && minScoreOf(b) < sStar
 
@@ -217,20 +271,47 @@ class MDBranchAndBound(
 
   push(initialBox)
 
+  /** Up to `slots` queued boxes that ride in a continuation page's round:
+    * dequeued in bound order while their best score lies below `sPage`,
+    * passing over (and keeping queued) those that may not ride again.
+    */
+  private def riders(slots: Int): Vector[Box] =
+    if (slots == 0 || !continuationPage) Vector.empty
+    else {
+      val sPage  = pageContour(candidates)
+      val out    = Vector.newBuilder[Box]
+      val parked = mutable.Buffer.empty[Entry]
+      var n      = 0
+      while (n < slots && pq.nonEmpty && pq.head.ms < sPage) {
+        val e = pq.dequeue()
+        if (e.mayRide) { out += e.box; n += 1 }
+        else parked += e
+      }
+      pq ++= parked
+      out.result()
+    }
+
+  override protected def seen(ts: Seq[WebTuple]): Unit = candidates.add(ts)
+
   protected def search(): Unit = {
     def viableHead: Boolean = pq.nonEmpty && pq.head.ms < sStar
     while (viableHead) {
       val descended = mutable.Set.empty[Box]
       var split     = 0
       // Draws stop at the first queued box that cannot beat `s*`.
-      round(Iterator.continually(pq).takeWhile(_ => viableHead).map { q =>
+      val required = Iterator.continually(pq).takeWhile(_ => viableHead).take(WebDbConn.MaxPar).map { q =>
         val (b, moved) = descend(q.dequeue().box)
         if (moved) descended += b
         b
-      }) { box =>
+      }.toVector
+      round(required.iterator, riders(WebDbConn.MaxPar - required.size)) { box =>
         if (descended(box)) split += 1
-        val (b1, b2) = box.split(widestDim(box)._1)
-        push(b1); push(b2)
+        // Only a riding box overflows back here at the give-up width.
+        if (atGiveUpWidth(box)) push(box, mayRide = false)
+        else {
+          val (b1, b2) = box.split(widestDim(box)._1)
+          push(b1); push(b2)
+        }
       }
       if (descended.nonEmpty) reach = if (split == descended.size) math.min(2 * reach, MaxReach) else 1
     }
@@ -238,7 +319,10 @@ class MDBranchAndBound(
 }
 
 object MDBranchAndBound {
-  private final case class Entry(ms: Double, serial: Long, box: Box)
+  /** A queued box with its best score; `mayRide` is false once it rode
+    * and overflowed at the give-up width.
+    */
+  private final case class Entry(ms: Double, serial: Long, box: Box, mayRide: Boolean)
 
   /** Bound on the reach, far beyond any descent's depth (each level halves
     * one dimension, and none halves past the give-up width), so doubling
@@ -317,23 +401,18 @@ final class MDBaseline(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: 
 
   /** Every box the session has drawn, required or riding. */
   private val drawn = mutable.HashSet.empty[Box]
-  private var filled = 0L
 
-  /** Page-frontier boxes the session drew into the slots of its rounds. */
-  def boxesFilled: Long = filled
-
-  /** The page frontier of the running `next(n)`: `owed` results to go,
-    * the tuples the page has seen and not emitted, and the boxes that could
-    * still hold one of its remaining results. A frontier box that overflows
-    * at the give-up width gives the frontier up for the rest of the page:
-    * it never crawls.
+  /** The page frontier of the running `next(n)`: the tuples the page has
+    * seen and not emitted, and the boxes that could still hold one of its
+    * remaining results. A frontier box that overflows at the give-up width
+    * gives the frontier up for the rest of the page: it never crawls.
     */
-  private final class Page(var owed: Int) {
+  private final class Page {
     val tuples   = new Candidates(f.score(_, norm))
     var frontier = refine(Vector(initialBox), Double.PositiveInfinity)
     var givenUp  = false
 
-    def sPage: Double = tuples.scoreAt(owed).map(_ + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
+    def sPage: Double = pageContour(tuples)
 
     /** Every tuple that could be one of the `owed` results has been seen. */
     def proven: Boolean = !givenUp && frontier.isEmpty
@@ -362,13 +441,8 @@ final class MDBaseline(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: 
     * which is dropped when the page is done.
     */
   override def next(n: Int): Vector[WebTuple] = {
-    val p = new Page(n)
-    page = Some(p)
-    try
-      Vector.unfold(()) { _ =>
-        if (p.owed == 0) None
-        else getNext().map { t => p.tuples.drop(t); p.owed -= 1; (t, ()) }
-      }
+    page = Some(new Page)
+    try super.next(n)
     finally page = None
   }
 
@@ -409,11 +483,12 @@ final class MDBaseline(conn: WebDbConn, base: WebQuery, f: LinearRanking, norm: 
       }
       drawn ++= now
       drawn ++= riding
-      filled += riding.count(b => !now.contains(b))
       page.foreach(_.advance(riding, overflowed.toSeq))
       // Re-clip the frontier against the tightened contour.
       work = refine(keep.toSeq, sStar)
     }
     if (proven) page.flatMap(_.tuples.best).foreach { case (_, t) => candidates.add(Seq(t)) }
+    // The best candidate is the result this get-next emits: it leaves the page.
+    for (p <- page; (_, t) <- candidates.best) p.tuples.drop(t)
   }
 }

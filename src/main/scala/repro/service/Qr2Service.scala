@@ -198,13 +198,13 @@ final class Qr2Session(
     case _                   => 0L
   }
 
-  /** Page-frontier boxes the session's MD-BASELINE drew into the idle
-    * slots of its rounds ([[MDBaseline.boxesFilled]]); 0 under every other
-    * strategy.
+  /** Boxes the session's MD strategy drew into the idle slots of its
+    * rounds ([[MDAlgorithm.boxesFilled]]): MD-BASELINE's page-frontier boxes
+    * and the branch-and-bound's riding boxes; 0 under every other strategy.
     */
   def boxesFilled: Long = impl match {
-    case b: MDBaseline => b.boxesFilled
-    case _             => 0L
+    case a: MDAlgorithm => a.boxesFilled
+    case _              => 0L
   }
 
   /** Simulated processing time: rounds at `DbStats.DefaultLatencyMs` each. */

@@ -40,4 +40,11 @@ class CandidatesSpec extends AnyFunSuite {
     c.add(Seq(t(1, 0.5)))
     assert(c.best.map(_._2.id) == Some(3L) && c.scoreAt(2) == Some(0.7))
   }
+
+  test("scoreAt has no 0-th best score: a page owing nothing gets no threshold") {
+    val c = new Candidates(_.num("s"))
+    c.add(Seq(t(1, 0.5), t(2, 0.7)))
+    assertThrows[IllegalArgumentException](c.scoreAt(0))
+    assertThrows[IllegalArgumentException](c.scoreAt(-1))
+  }
 }

@@ -94,10 +94,17 @@ class CostPinSpec extends SparkSpec {
     pin(s"MD-TA [$fLabel] $label") { c => val (f, n) = fn; new MDTA(c, base, f, n) }
   }
 
-  // A page of MD-BASELINE fills its rounds from a page frontier; lone
+  // A page of MD-BASELINE fills its rounds from a page frontier, and a page
+  // of MD-BINARY or MD-RERANK after the first with riding boxes; lone
   // get-nexts send the per-get-next search alone.
   pinGetNexts("MD-BASELINE [price - 0.5 carat] by twenty getNext() calls") { c =>
     val (f, n) = md("price" -> 1.0, "carat" -> -0.5); new MDBaseline(c, WebQuery.all, f, n)
+  }
+  pinGetNexts("MD-BINARY [price - 0.5 carat] by twenty getNext() calls") { c =>
+    val (f, n) = md("price" -> 1.0, "carat" -> -0.5); new MDBinary(c, WebQuery.all, f, n)
+  }
+  pinGetNexts("MD-RERANK [price - 0.5 carat] by twenty getNext() calls") { c =>
+    val (f, n) = md("price" -> 1.0, "carat" -> -0.5); new MDRerank(c, WebQuery.all, f, n)
   }
 
   // The lwr = 1.00 spike: 20 % of the table shares one lwr value, so every
@@ -198,33 +205,37 @@ class CostPinSpec extends SparkSpec {
     "MD-BASELINE [price - 0.5 carat] by twenty getNext() calls" ->
       Pin(241, 43, 41, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BINARY [price - 0.5 carat] unfiltered" ->
-      Pin(83, 22, 14, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+      Pin(84, 21, 14, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-RERANK [price - 0.5 carat] unfiltered" ->
+      Pin(84, 21, 14, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+    "MD-BINARY [price - 0.5 carat] by twenty getNext() calls" ->
+      Pin(83, 22, 14, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
+    "MD-RERANK [price - 0.5 carat] by twenty getNext() calls" ->
       Pin(83, 22, 14, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-TA [price - 0.5 carat] unfiltered" ->
       Pin(565, 259, 154, 0, 0, Seq(608, 963, 158, 568, 543, 632, 485, 594, 268, 816, 113, 93, 449, 148, 759, 770, 957, 582, 876, 107)),
     "MD-BASELINE [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(72, 27, 27, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BINARY [price - 0.1 carat - 0.5 depth] unfiltered" ->
-      Pin(50, 18, 11, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+      Pin(53, 16, 11, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-RERANK [price - 0.1 carat - 0.5 depth] unfiltered" ->
-      Pin(50, 18, 11, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
+      Pin(53, 16, 11, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-TA [price - 0.1 carat - 0.5 depth] unfiltered" ->
       Pin(286, 124, 83, 0, 0, Seq(41, 552, 518, 654, 441, 538, 62, 215, 735, 12, 642, 873, 176, 726, 725, 579, 860, 363, 742, 548)),
     "MD-BASELINE [price - 0.5 carat] cut=Ideal" ->
       Pin(83, 17, 16, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-BINARY [price - 0.5 carat] cut=Ideal" ->
-      Pin(53, 20, 9, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+      Pin(53, 18, 10, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-RERANK [price - 0.5 carat] cut=Ideal" ->
-      Pin(53, 20, 9, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
+      Pin(53, 18, 10, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-TA [price - 0.5 carat] cut=Ideal" ->
       Pin(166, 90, 38, 0, 0, Seq(608, 543, 449, 63, 641, 954, 733, 694, 166, 912, 879, 442, 259, 689, 260, 88, 189, 875, 236, 156)),
     "MD-BASELINE [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
       Pin(60, 24, 22, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-BINARY [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
-      Pin(23, 13, 8, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+      Pin(24, 12, 8, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-RERANK [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
-      Pin(23, 13, 8, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
+      Pin(24, 12, 8, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "MD-TA [price - 0.1 carat - 0.5 depth] cut=Ideal" ->
       Pin(127, 63, 32, 0, 0, Seq(41, 552, 518, 441, 538, 62, 12, 725, 860, 195, 290, 396, 522, 855, 673, 40, 720, 128, 614, 200)),
     "1D-BASELINE lwr asc" ->
@@ -244,17 +255,17 @@ class CostPinSpec extends SparkSpec {
     "MD-BASELINE [price + lwr]" ->
       Pin(76, 27, 26, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
     "MD-BINARY [price + lwr]" ->
-      Pin(38, 21, 9, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
+      Pin(31, 15, 4, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
     "MD-RERANK [price + lwr] #1" ->
       Pin(27, 9, 4, 22, 72, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
     "MD-RERANK [price + lwr] #2" ->
       Pin(4, 4, 0, 0, 0, Seq(146, 735, 545, 869, 623, 185, 640, 374, 844, 195, 439, 310, 736, 664, 585, 424, 343, 832, 949, 723)),
     "MD-RERANK [price + lwr] cut=Good" ->
-      Pin(31, 13, 4, 23, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
+      Pin(31, 12, 5, 23, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
     "1D-RERANK lwr desc shape=Round on 10 000 diamonds" ->
       Pin(43, 19, 10, 30, 117, Seq(7160, 9638, 380, 742, 1594, 3226, 4062, 6097, 6357, 6526, 6711, 6731, 6919, 7651, 8437, 8813, 549, 760, 2004, 2502)),
     "MD-RERANK [price + lwr] cut=Good after 1D-RERANK lwr asc" ->
-      Pin(9, 9, 0, 1, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
+      Pin(9, 8, 1, 1, 72, Seq(735, 869, 640, 832, 983, 636, 917, 409, 319, 301, 970, 415, 126, 280, 210, 213, 372, 489, 42, 515)),
   )
 }
 

@@ -367,6 +367,8 @@ class Qr2ServiceSpec extends SparkSpec {
     }
   }
 
+  // Their second pages also fill idle slots with riding boxes; first pages
+  // ride nothing.
   test("a repeated session that descends past boxes bills no query and no round, and emits the same ids") {
     val db = TestFixtures.diamonds(spark)
     val sessions = Seq(
@@ -376,14 +378,42 @@ class Qr2ServiceSpec extends SparkSpec {
     for ((base, spec, algo) <- sessions) {
       val service = new Qr2Service(db)
       val first   = service.newSession(base, spec, algo)
-      val ids     = first.getPage(10).map(_.id) ++ first.getPage(10).map(_.id)
+      val page1   = first.getPage(10).map(_.id)
+      assert(first.boxesFilled == 0, s"$algo $spec: a first page filled a slot")
+      val ids = page1 ++ first.getPage(10).map(_.id)
       assert(ids == truthIds(db, base, spec, 20), s"$algo $spec")
       assert(first.boxesPassed > 0, s"$algo $spec: the session never descended")
+      assert(first.boxesFilled > 0, s"$algo $spec: no riding box filled a slot")
       val again    = service.newSession(base, spec, algo)
       val idsAgain = again.getPage(10).map(_.id) ++ again.getPage(10).map(_.id)
       assert(idsAgain == ids, s"$algo $spec")
       assert(again.stats.queries == 0 && again.stats.rounds == 0,
         s"$algo $spec: repeat ${again.statsPanel} after ${first.statsPanel}")
+    }
+  }
+
+  // Which boxes ride does not depend on the policy, so an MD-BINARY page
+  // finds the boxes it rides in the cache of an MD-RERANK session before it.
+  // On these rankings a rule riding only boxes wider than the session's own
+  // give-up width made the BINARY session's second page bill 2 and 1
+  // queries.
+  test("an MD-BINARY session's second page after an MD-RERANK session of the same ranking bills no query and no round") {
+    val sessions = Seq(
+      (TestFixtures.diamonds(spark), MDRank(Seq("table_pct" -> 0.6, "price" -> 0.5))),
+      (TestFixtures.diamonds(spark, 0.05), MDRank(Seq("table_pct" -> 0.9, "carat" -> 0.8))),
+    )
+    for ((db, spec) <- sessions) {
+      val service = new Qr2Service(db)
+      val rerank  = service.newSession(WebQuery.all, spec, Algo.Rerank)
+      val ids     = rerank.getPage(10).map(_.id) ++ rerank.getPage(10).map(_.id)
+      assert(ids == truthIds(db, WebQuery.all, spec, 20), s"$spec")
+      assert(rerank.boxesFilled > 0, s"$spec: no riding box filled a slot")
+      val binary    = service.newSession(WebQuery.all, spec, Algo.Binary)
+      val page1     = binary.getPage(10).map(_.id)
+      val billed    = binary.stats
+      assert(page1 ++ binary.getPage(10).map(_.id) == ids, s"$spec")
+      assert(binary.stats.queries == billed.queries && binary.stats.rounds == billed.rounds,
+        s"$spec: BINARY ${binary.statsPanel} after RERANK ${rerank.statsPanel}, ${billed.queries} on its first page")
     }
   }
 
